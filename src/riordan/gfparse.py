@@ -16,6 +16,12 @@ variable, y/a/b are coefficient-ring generators, ``rev`` is compositional
 reversion in x and ``sqrt`` the exact series square root.
 
 Parse errors carry the character offset of the offending token.
+
+Nesting is bounded by MAX_DEPTH, so that no input can exhaust the
+interpreter's recursion stack: at most MAX_DEPTH parentheses and function
+calls may be open at once, and the parsed tree may be at most MAX_DEPTH
+nodes deep (a chain of n binary operators is n + 1 deep).  Deeper input
+raises ParseError at the offset where the limit is passed.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ VARIABLES = ("x", "y", "a", "b")
 FUNCTIONS = ("sqrt", "rev")
 
 GRAMMAR_VERSION = 1
+
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -150,6 +158,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.open_parens = 0
 
     @property
     def current(self) -> _Token:
@@ -213,18 +222,22 @@ class _Parser:
             if tok.text in VARIABLES:
                 return Var(tok.text, pos=tok.pos)
             if tok.text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return Call(tok.text, arg, pos=tok.pos)
+                return Call(tok.text, self.parse_parenthesized(self.expect_op("(")), pos=tok.pos)
             raise ParseError(f"unknown name {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
+            return self.parse_parenthesized(self.advance())
         shown = tok.text if tok.kind != "end" else "end of input"
         raise ParseError(f"expected a value, found {shown!r}", tok.pos)
+
+    def parse_parenthesized(self, opener: _Token) -> Node:
+        """The expression after the consumed ``opener`` and its closing ')'."""
+        self.open_parens += 1
+        if self.open_parens > MAX_DEPTH:
+            raise ParseError(f"more than {MAX_DEPTH} nested parentheses", opener.pos)
+        node = self.parse_expr()
+        self.expect_op(")")
+        self.open_parens -= 1
+        return node
 
 
 def _fold_div(op: str, left: Node, right: Node, pos: int) -> Node:
@@ -244,7 +257,25 @@ def parse(text: str) -> Node:
     tok = parser.current
     if tok.kind != "end":
         raise ParseError(f"unexpected {tok.text!r} after expression", tok.pos)
+    stack = [(node, 1)]
+    while stack:
+        n, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", n.pos)
+        stack.extend((child, depth + 1) for child in _children(n))
     return node
+
+
+def _children(node: Node) -> tuple:
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
 
 
 def to_text(node: Node) -> str:
@@ -274,15 +305,7 @@ def to_text(node: Node) -> str:
 def variables_used(node: Node) -> set[str]:
     if isinstance(node, Var):
         return {node.name}
-    if isinstance(node, Neg):
-        return variables_used(node.operand)
-    if isinstance(node, BinOp):
-        return variables_used(node.left) | variables_used(node.right)
-    if isinstance(node, Pow):
-        return variables_used(node.base)
-    if isinstance(node, Call):
-        return variables_used(node.arg)
-    return set()
+    return set().union(*map(variables_used, _children(node)))
 
 
 def ring_for(node: Node):

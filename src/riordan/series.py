@@ -2,12 +2,15 @@
 
 A series carries exactly ``order`` coefficients c_0 .. c_{order-1}; binary
 operations truncate to the smaller order, so precision can shrink but never
-silently degrade.  Everything is exact: composition and reversion are solved
-coefficient by coefficient in the ring, square roots require the constant
-term to have an exact root.
+silently degrade.  Everything is exact: composition is Horner's rule in the
+series ring, reversion is Lagrange inversion with a sparse power recurrence
+(see ``PowerSeries.revert``), and square roots require the constant term to
+have an exact root.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .exact import PolynomialRing
 
@@ -172,27 +175,42 @@ class PowerSeries:
         return PowerSeries(ring, out)
 
     def compose(self, g: "PowerSeries") -> "PowerSeries":
-        """f(g(x)) by Horner in the series ring; g must have zero constant term."""
+        """f(g(x)) by Horner in the series ring; g must have zero constant term.
+
+        Since g = O(x), the Horner partial sum that is still to be multiplied
+        by g^k only matters through x^(n-1-k), so each step works at that
+        order: acc <- x (acc * g/x) + c grows by one coefficient per step.
+        """
         if not isinstance(g, PowerSeries) or g.ring != self.ring:
             raise TypeError("compose needs a series over the same ring")
         if not g.coeffs or not self.ring.is_zero(g.coeffs[0]):
             raise ValueError("compose needs inner series with zero constant term")
         n = min(len(self.coeffs), len(g.coeffs))
-        f = self.coeffs[:n]
-        g = g.truncate(n)
-        acc = constant(self.ring, 0, n)
-        for c in reversed(f):
-            acc = acc * g + c
+        g_over_x = g.div_x()
+        acc = PowerSeries(self.ring, ())
+        for c in reversed(self.coeffs[:n]):
+            acc = (acc * g_over_x).mul_x() + c
         return acc
 
     def revert(self) -> "PowerSeries":
         """Compositional inverse u with f(u(x)) = x = u(f(x)).
 
-        Needs f = c_1 x + O(x^2) with c_1 a unit.  Solved order by order: with
-        u known through x^{m-1}, the coefficient of x^m in f(u) is linear in
-        the unknown u_m with leading factor c_1, so
-        u_m = -[x^m](sum_{k>=2} c_k u^k) / c_1.  Powers of u are accumulated
-        over the nonzero c_k only, truncated to m+1 terms.
+        Needs f = c_1 x + O(x^2) with c_1 a unit.  By Lagrange inversion,
+        with g = f/x and phi = 1/g,
+
+            u_0 = 0,   u_n = (1/n) [x^(n-1)] phi^n   (n >= 1).
+
+        Only the coefficients P_0 .. P_{n-1} of phi^n = h^a are formed, by
+        J.C.P. Miller's power recurrence
+
+            P_0 = h_0^a,   P_k = 1/(k h_0) sum_{j=1..k} ((a+1) j - k) h_j P_{k-j},
+
+        summed over the nonzero h_j only.  h is whichever of g (a = -n) and
+        phi (a = n) has fewer nonzero coefficients, ties going to g: a
+        polynomial f such as x - x^2 has a sparse g, a rational f such as
+        x/(1-x-x^2) a sparse phi.  With s nonzero h_j the cost is O(N^2 s)
+        ring products.  The division by k needs Q inside the ring, which
+        holds for every ring here.
         """
         ring = self.ring
         N = len(self.coeffs)
@@ -201,25 +219,38 @@ class PowerSeries:
         if not ring.is_zero(self.coeffs[0]):
             raise ValueError("reversion needs a zero constant term")
         c1_inv = ring.invert(self.coeffs[1])
-        tail_ks = [k for k in range(2, N) if not ring.is_zero(self.coeffs[k])]
-        u = [ring.zero(), c1_inv]
-        zero = ring.zero()
-        for m in range(2, N):
-            U = PowerSeries(ring, u + [zero] * (m + 1 - len(u)))
-            acc = zero
-            power = None
-            last_k = 0
-            for k in tail_ks:
-                if k > m:
-                    break
-                if power is None:
-                    power = U ** k
-                else:
-                    for _ in range(k - last_k):
-                        power = power * U
-                last_k = k
-                acc = acc + self.coeffs[k] * power[m]
-            u.append(-acc * c1_inv)
+        g = self.div_x()
+        phi = 1 / g
+
+        def tail(s):
+            return [(j, c) for j, c in enumerate(s.coeffs[1:], 1) if not ring.is_zero(c)]
+
+        g_tail, phi_tail = tail(g), tail(phi)
+        if len(phi_tail) < len(g_tail):
+            h_tail, sign, h0_inv = phi_tail, 1, self.coeffs[1]
+        else:
+            h_tail, sign, h0_inv = g_tail, -1, c1_inv
+        # 1/(k h_0) and 1/k as ring elements, k = 1 .. N-1
+        scale = [None] + [h0_inv * Fraction(1, k) for k in range(1, N)]
+        inv_n = [None] + [ring.coerce(Fraction(1, n)) for n in range(1, N)]
+        u = [ring.zero()]
+        p0 = ring.one()
+        for n in range(1, N):
+            p0 = p0 * c1_inv  # h_0^a = c_1^(-n) for either choice of h
+            a1 = sign * n + 1
+            P = [p0]
+            for k in range(1, n):
+                acc = None
+                for j, hj in h_tail:
+                    if j > k:
+                        break
+                    c = a1 * j - k
+                    p = P[k - j]
+                    if c and not ring.is_zero(p):
+                        term = hj * c * p
+                        acc = term if acc is None else acc + term
+                P.append(ring.zero() if acc is None else acc * scale[k])
+            u.append(P[n - 1] * inv_n[n])
         return PowerSeries(ring, u)
 
     def __str__(self):

@@ -149,6 +149,17 @@ class TestSequenceCommand:
         code, _, err = run_cli(capsys, "sequence", "fib@1", "-n", "3")
         assert code == 1 and "unknown sequence" in err
 
+    @pytest.mark.parametrize(
+        "gf",
+        ["(" * 3000 + "x" + ")" * 3000, "sqrt(" * 3000 + "x" + ")" * 3000, "+".join(["x"] * 3000)],
+        ids=["parentheses", "calls", "chain"],
+    )
+    def test_deep_nesting_is_a_clean_error(self, capsys, gf):
+        code, out, err = run_cli(capsys, "sequence", f"gf:{gf}", "-n", "3")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "offset" in err and "Traceback" not in err
+
     def test_order_flag_gives_headroom(self, capsys):
         code, out, _ = run_cli(
             capsys, "sequence", "gf:1/(1-x)", "-n", "40", "--order", "8"

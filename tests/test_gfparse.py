@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from riordan.exact import QAB, QQ, QY
 from riordan.gfparse import (
+    MAX_DEPTH,
     BinOp,
     Call,
     GfEvalError,
@@ -56,6 +57,14 @@ class TestParsing:
     def test_no_implicit_multiplication(self):
         with pytest.raises(ParseError):
             parse("2x")
+
+
+    def test_nesting_up_to_the_limit(self):
+        assert parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH) == Var("x")
+        calls = "sqrt(" * (MAX_DEPTH - 1) + "1" + ")" * (MAX_DEPTH - 1)
+        assert eval_gf(calls, 3).coeffs == (1, 0, 0)
+        chain = "+".join(["x"] * MAX_DEPTH)  # MAX_DEPTH - 1 operators
+        assert eval_gf(chain, 3).coeffs == (0, MAX_DEPTH, 0)
 
 
 class TestEvaluation:
@@ -178,7 +187,7 @@ class TestRoundTrip:
             assert parse(to_text(ast)) == ast
 
 
-# Twenty malformed inputs with the exact offset the error must carry.
+# Malformed inputs with the exact offset the error must carry.
 BAD_INPUTS = [
     ("", 0),
     ("1+", 2),
@@ -200,6 +209,9 @@ BAD_INPUTS = [
     ("sqrt(x))", 7),
     ("--x", 1),
     ("xé", 1),
+    ("(" * 101 + "x" + ")" * 101, 100),
+    ("sqrt(" * 101 + "x" + ")" * 101, 504),
+    ("+".join(["x"] * 101), 2),
 ]
 
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riordan.exact import QAB, QQ, QY, binomial
+from riordan.exact import QA, QAB, QQ, QY, binomial
+from riordan.families import cf_matrix
 from riordan.series import constant, from_coeffs, generator_series, x_series
 
 
@@ -23,25 +24,78 @@ def oracle_linear_recurrence(init, coeffs, n_terms):
     return seq[:n_terms]
 
 
-def oracle_revert_x_minus_x2(n_terms):
-    """Order-by-order solve of u - u^2 = x with bare coefficient lists."""
-    u = [Fraction(0), Fraction(1)]
-    for m in range(2, n_terms):
-        # [x^m] u^2 from the coefficients found so far
-        conv = sum(u[i] * u[m - i] for i in range(1, m))
-        u.append(conv)  # u_m - conv = 0
-    return u[:n_terms]
+def oracle_revert(f):
+    """Order-by-order solve of f(u) = x with bare coefficient lists.
+
+    With u known through x^(m-1), [x^m] f(u) = f_1 u_m + sum_{k>=2} f_k [x^m] u^k,
+    and the powers u^k (k >= 2) do not involve u_m.
+    """
+    u = [Fraction(0), 1 / Fraction(f[1])]
+    for m in range(2, len(f)):
+        u.append(Fraction(0))
+        power, acc = u, Fraction(0)
+        for k in range(2, m + 1):
+            power = [sum(power[i] * u[j - i] for i in range(j + 1)) for j in range(m + 1)]
+            acc += f[k] * power[m]
+        u[m] = -acc / f[1]
+    return u
 
 
 # Frozen from the oracles above.
 FIBONACCI_10 = oracle_linear_recurrence([1, 1], [1, 1], 10)
 assert FIBONACCI_10 == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
-CATALAN_REVERT_8 = oracle_revert_x_minus_x2(8)
+CATALAN_REVERT_8 = oracle_revert([0, 1, -1, 0, 0, 0, 0, 0])
 assert CATALAN_REVERT_8 == [0, 1, 1, 2, 5, 14, 42, 132]
 
 
 def x_and_y(order):
     return x_series(QY, order), generator_series(QY, "y", order)
+
+
+def nonzero_tail(s):
+    """Number of nonzero coefficients of x^1, x^2, ... in s."""
+    return sum(1 for c in s.coeffs[1:] if not s.ring.is_zero(c))
+
+
+def specialise(c, point):
+    """c in Q, Q[y] or Q[a][b], at y = point or at (a, b) = point."""
+    if isinstance(point, tuple):
+        a0, b0 = point
+        return c(b0)(a0)
+    return c if point is None else c(point)
+
+
+def _sparse_g():
+    order = 10
+    x = x_series(QAB, order)
+    a, b = generator_series(QAB, "a", order), generator_series(QAB, "b", order)
+    return x - a * x * x - b * x ** 3, [(1, 1), (Fraction(1, 2), -3), (0, 2)], (2, 8)
+
+
+def _sparse_inverse_g():
+    x, y = x_and_y(14)
+    return x / (2 - y * x - x * x), [0, 1, Fraction(-2, 3)], (12, 2)
+
+
+def _both_dense():
+    # x times the row generating function of the cf@1 triangle
+    G = from_coeffs(QY, cf_matrix(1, 13).row_polynomials())
+    return G.mul_x(), [0, 1, Fraction(1, 2)], (12, 12)
+
+
+def _dense_over_q():
+    x = x_series(QQ, 12)
+    return x * (1 - 4 * x).sqrt() / 2, [None], (10, 10)
+
+
+# Each case: f, the points it is specialised at, and the nonzero tail counts
+# of g = f/x and 1/g that select the base of the power recurrence.
+PINNED_REVERSIONS = {
+    "sparse g": _sparse_g,
+    "sparse 1/g": _sparse_inverse_g,
+    "both dense": _both_dense,
+    "both dense, slope 1/2": _dense_over_q,
+}
 
 
 class TestArithmetic:
@@ -178,6 +232,16 @@ class TestRevert:
         assert f.compose(u) == x
         assert u.compose(f) == x
 
+    @pytest.mark.parametrize("case", sorted(PINNED_REVERSIONS))
+    def test_revert_against_oracle(self, case):
+        f, points, tail_counts = PINNED_REVERSIONS[case]()
+        g = f.div_x()
+        assert (nonzero_tail(g), nonzero_tail(1 / g)) == tail_counts
+        u = f.revert()
+        for p in points:
+            want = oracle_revert([specialise(c, p) for c in f.coeffs])
+            assert [specialise(c, p) for c in u.coeffs] == want
+
     def test_revert_preconditions(self):
         x = x_series(QQ, 6)
         with pytest.raises(ValueError):
@@ -197,8 +261,14 @@ class TestRevert:
 def unit_tail_series(draw, order=24):
     cs = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6),
                        min_size=0, max_size=order - 2))
-    slope = draw(st.sampled_from([1, -1]))
+    slope = draw(st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool))
     return from_coeffs(QQ, [0, slope] + cs, order)
+
+
+def qab_elements(max_degree=2):
+    """Polynomials in a and b with small integer coefficients."""
+    in_a = st.lists(st.integers(-3, 3), max_size=max_degree + 1).map(QA.poly)
+    return st.lists(in_a, max_size=max_degree + 1).map(QAB.poly)
 
 
 class TestRoundTrip:
@@ -206,8 +276,9 @@ class TestRoundTrip:
     @given(unit_tail_series())
     def test_round_trip_over_q(self, f):
         x = x_series(QQ, f.order)
-        assert f.compose(f.revert()) == x
-        assert f.revert().compose(f) == x
+        u = f.revert()
+        assert f.compose(u) == x
+        assert u.compose(f) == x
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.lists(st.integers(-4, 4), max_size=3), min_size=0, max_size=10),
@@ -217,8 +288,20 @@ class TestRoundTrip:
         coeffs = [QY.zero(), QY.from_int(slope)] + [QY.poly(c) for c in tail]
         f = from_coeffs(QY, coeffs[:order], order)
         x = x_series(QY, order)
-        assert f.compose(f.revert()) == x
-        assert f.revert().compose(f) == x
+        u = f.revert()
+        assert f.compose(u) == x
+        assert u.compose(f) == x
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(qab_elements(), max_size=6),
+           st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    def test_round_trip_over_qab(self, tail, slope):
+        order = 8
+        f = from_coeffs(QAB, [QAB.zero(), QAB.coerce(slope)] + tail, order)
+        x = x_series(QAB, order)
+        u = f.revert()
+        assert f.compose(u) == x
+        assert u.compose(f) == x
 
     def test_lagrange_coefficient_extraction(self):
         # [x^(n+1)] Rev(f) == 1/(n+1) [x^n] (x/f)^(n+1)
