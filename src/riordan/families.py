@@ -162,14 +162,18 @@ def cf_coeffs(n: int) -> Polynomial:
 @cache
 def cf_matrix(b0: Fraction, n_rows: int) -> Triangle:
     """Catalan-scaled Fibonacci matrix at a fixed b: entry (n,k) is the
-    coefficient of a^k in cf_coeffs(n) evaluated at b = b0."""
+    coefficient of a^k in cf_coeffs(n) evaluated at b = b0, which is
+    C_n binom(n-i, i) b0^i at k = n - 2i and 0 at k = n - 1, n - 3, ..."""
     if n_rows < 1:
         raise ValueError("need at least one row")
     b0 = QQ.coerce(b0)
     rows = []
     for n in range(n_rows):
-        in_a = cf_coeffs(n)(b0)  # polynomial in a
-        rows.append(in_a.padded(n + 1))
+        row = [QQ.zero()] * (n + 1)
+        cn = catalan(n)
+        for i in range(n // 2 + 1):
+            row[n - 2 * i] = cn * binomial(n - i, i) * b0**i
+        rows.append(row)
     return Triangle(QQ, rows)
 
 

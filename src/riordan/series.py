@@ -3,9 +3,10 @@
 A series carries exactly ``order`` coefficients c_0 .. c_{order-1}; binary
 operations truncate to the smaller order, so precision can shrink but never
 silently degrade.  Everything is exact: composition is Horner's rule in the
-series ring, reversion is Lagrange inversion with a sparse power recurrence
-(see ``PowerSeries.revert``), and square roots require the constant term to
-have an exact root.
+series ring.  Reversion (Lagrange inversion, see ``PowerSeries.revert``) and
+the square root both form a power h^a by J.C.P. Miller's recurrence
+(``_miller_power``), summed over the nonzero coefficients of h only.  A
+square root needs the constant term to have an exact root.
 """
 
 from __future__ import annotations
@@ -153,26 +154,22 @@ class PowerSeries:
     def sqrt(self) -> "PowerSeries":
         """Square root with nonnegative constant-term root.
 
-        Solved coefficientwise: q_n = (f_n - sum_{0<i<n} q_i q_{n-i}) / (2 q_0),
-        so the constant term must have an exact root and 2*q_0 must be a unit.
+        The power f^(1/2) by J.C.P. Miller's recurrence (see ``_miller_power``)
+        from q_0 = sqrt(f_0), summed over the nonzero f_j only: O(N s) ring
+        products for s nonzero f_j, so a binomial 1 - c x^k costs O(N).  The
+        constant term must have an exact root and be a unit.
         """
         ring = self.ring
-        if not self.coeffs:
+        N = len(self.coeffs)
+        if not N:
             raise ValueError("cannot take sqrt of an order-0 series")
         if ring.is_zero(self.coeffs[0]):
             raise ValueError("sqrt needs a nonzero constant term; shift powers of x out first")
         q0 = ring.sqrt(self.coeffs[0])
-        inv = ring.invert(q0 + q0)
-        out = [q0]
-        for n in range(1, len(self.coeffs)):
-            acc = self.coeffs[n]
-            for i in range(1, n):
-                a = out[i]
-                if ring.is_zero(a):
-                    continue
-                acc = acc - a * out[n - i]
-            out.append(acc * inv)
-        return PowerSeries(ring, out)
+        f0_inv = ring.invert(self.coeffs[0])
+        scale = [None] + [f0_inv * Fraction(1, k) for k in range(1, N)]
+        half = Fraction(1, 2)
+        return PowerSeries(ring, _miller_power(ring, _nonzero_tail(self), half, q0, scale, N))
 
     def compose(self, g: "PowerSeries") -> "PowerSeries":
         """f(g(x)) by Horner in the series ring; g must have zero constant term.
@@ -201,11 +198,8 @@ class PowerSeries:
             u_0 = 0,   u_n = (1/n) [x^(n-1)] phi^n   (n >= 1).
 
         Only the coefficients P_0 .. P_{n-1} of phi^n = h^a are formed, by
-        J.C.P. Miller's power recurrence
-
-            P_0 = h_0^a,   P_k = 1/(k h_0) sum_{j=1..k} ((a+1) j - k) h_j P_{k-j},
-
-        summed over the nonzero h_j only.  h is whichever of g (a = -n) and
+        J.C.P. Miller's power recurrence (``_miller_power``) summed over the
+        nonzero h_j only.  h is whichever of g (a = -n) and
         phi (a = n) has fewer nonzero coefficients, ties going to g: a
         polynomial f such as x - x^2 has a sparse g, a rational f such as
         x/(1-x-x^2) a sparse phi.  With s nonzero h_j the cost is O(N^2 s)
@@ -222,34 +216,19 @@ class PowerSeries:
         g = self.div_x()
         phi = 1 / g
 
-        def tail(s):
-            return [(j, c) for j, c in enumerate(s.coeffs[1:], 1) if not ring.is_zero(c)]
-
-        g_tail, phi_tail = tail(g), tail(phi)
+        g_tail, phi_tail = _nonzero_tail(g), _nonzero_tail(phi)
         if len(phi_tail) < len(g_tail):
             h_tail, sign, h0_inv = phi_tail, 1, self.coeffs[1]
         else:
             h_tail, sign, h0_inv = g_tail, -1, c1_inv
-        # 1/(k h_0) and 1/k as ring elements, k = 1 .. N-1
+        # 1/(k h_0) and 1/n as ring elements, k, n = 1 .. N-1
         scale = [None] + [h0_inv * Fraction(1, k) for k in range(1, N)]
         inv_n = [None] + [ring.coerce(Fraction(1, n)) for n in range(1, N)]
         u = [ring.zero()]
         p0 = ring.one()
         for n in range(1, N):
             p0 = p0 * c1_inv  # h_0^a = c_1^(-n) for either choice of h
-            a1 = sign * n + 1
-            P = [p0]
-            for k in range(1, n):
-                acc = None
-                for j, hj in h_tail:
-                    if j > k:
-                        break
-                    c = a1 * j - k
-                    p = P[k - j]
-                    if c and not ring.is_zero(p):
-                        term = hj * c * p
-                        acc = term if acc is None else acc + term
-                P.append(ring.zero() if acc is None else acc * scale[k])
+            P = _miller_power(ring, h_tail, sign * n, p0, scale, n)
             u.append(P[n - 1] * inv_n[n])
         return PowerSeries(ring, u)
 
@@ -270,6 +249,37 @@ class PowerSeries:
 
     def __repr__(self):
         return f"<series over {self.ring!r}: {self}>"
+
+
+def _nonzero_tail(s: PowerSeries) -> list:
+    """The pairs (j, s_j) with j >= 1 and s_j nonzero, ascending in j."""
+    return [(j, c) for j, c in enumerate(s.coeffs[1:], 1) if not s.ring.is_zero(c)]
+
+
+def _miller_power(ring, h_tail, a, p0, scale, n: int) -> list:
+    """Coefficients P_0 .. P_{n-1} of h^a, by J.C.P. Miller's recurrence
+
+        P_0 = h_0^a,   P_k = 1/(k h_0) sum_{j=1..k} ((a+1) j - k) h_j P_{k-j}.
+
+    ``h_tail`` is ``_nonzero_tail(h)``, ``p0`` is h_0^a and ``scale[k]`` is
+    1/(k h_0) for k = 1 .. n-1; the exponent a may be any rational.  Only
+    the nonzero h_j are visited, so s of them cost O(n s) ring products.
+    The division by k needs Q inside the ring, which holds for every ring here.
+    """
+    a1 = a + 1
+    P = [p0]
+    for k in range(1, n):
+        acc = None
+        for j, hj in h_tail:
+            if j > k:
+                break
+            c = a1 * j - k
+            p = P[k - j]
+            if c and not ring.is_zero(p):
+                term = hj * c * p
+                acc = term if acc is None else acc + term
+        P.append(ring.zero() if acc is None else acc * scale[k])
+    return P
 
 
 def from_coeffs(ring, coeffs, order: int | None = None) -> PowerSeries:

@@ -249,6 +249,12 @@ class TestCfMatrices:
         with pytest.raises(ValueError):
             cf_matrix(Fraction(1), 0)
 
+    @pytest.mark.parametrize("b0", [2, 1, -1, Fraction(1, 2), Fraction(-3, 7), 0])
+    def test_closed_form_equals_evaluated_cf_coeffs(self, b0):
+        T = cf_matrix(Fraction(b0), 24)
+        for k, row in enumerate(T.rows):
+            assert list(row) == cf_coeffs(k)(QQ.coerce(b0)).padded(k + 1)
+
 
 class TestSequences:
     def test_dual_cf_sequence_frozen(self):

@@ -87,6 +87,57 @@ class TestHankelTransform:
         assert hankel_transform(seq, 4) == hankel_transform(transformed, 4)
 
 
+@st.composite
+def hankel_sources(draw, max_m=7):
+    """(seq, m) with 2m+1 integer, rational or zero-heavy terms; zero-heavy
+    sequences often hit a zero pivot."""
+    m = draw(st.integers(0, max_m))
+    kind = draw(st.sampled_from(["integers", "rationals", "zero-heavy"]))
+    term = {
+        "integers": st.integers(-20, 20),
+        "rationals": st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        "zero-heavy": st.sampled_from([0, 0, 0, 1, -1]),
+    }[kind]
+    return draw(st.lists(term, min_size=2 * m + 1, max_size=2 * m + 1)), m
+
+
+class TestOnePassTransform:
+    """The one-pass transform against one determinant per leading minor."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hankel_sources())
+    def test_equals_minor_by_minor(self, source):
+        seq, m = source
+        h = hankel_transform(seq, m)
+        assert h == [determinant(HankelMatrix(tuple(seq), k + 1).rows()) for k in range(m + 1)]
+        if m <= 4:
+            assert h == [
+                oracle_cofactor_det(HankelMatrix(tuple(seq), k + 1).rows()) for k in range(m + 1)
+            ]
+
+    def test_fibonacci_minors_vanish_from_h2(self):
+        fib = [1, 1]
+        while len(fib) < 21:
+            fib.append(fib[-1] + fib[-2])
+        assert hankel_transform(fib, 10) == [1, 1] + [0] * 9
+
+    def test_zero_pivot_then_nonzero_minor(self):
+        assert hankel_transform([0, 1, 0, 0, 0], 2) == [0, -1, 0]
+
+    @given(hankel_sources(max_m=4))
+    def test_result_type_depends_only_on_the_terms_used(self, source):
+        seq, m = source
+        # a non-integral term past a_(2m) is never used
+        h = hankel_transform(seq + [Fraction(1, 2)], m)
+        integral = all(Fraction(a).denominator == 1 for a in seq)
+        assert all(type(v) is (int if integral else Fraction) for v in h)
+
+    def test_result_type_of_dual_values_at_one_half(self):
+        h = hankel_transform(dual_values(Fraction(1, 2), 9), 4)
+        assert h[:3] == [1, -2, 2]
+        assert all(type(v) is Fraction for v in h)
+
+
 class TestHankelMatrix:
     def test_entries(self):
         m = HankelMatrix((1, 2, 3, 4, 5), 3)

@@ -181,6 +181,26 @@ class TestSqrt:
         s = (1 - 4 * y * x * x).sqrt()
         assert s * s == (1 - 4 * y * x * x).truncate(8)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sqrt_squares_to_its_argument(self, data):
+        ring = data.draw(st.sampled_from([QQ, QY]))
+        root = data.draw(st.sampled_from([1, 2, Fraction(3, 2), Fraction(1, 5)]))
+        if ring is QQ:
+            term = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        else:
+            term = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                            max_size=3).map(QY.poly)
+        # sparse: mostly zero coefficients, as in the binomials 1 - c x^k
+        sparse = data.draw(st.booleans())
+        if sparse:
+            term = st.one_of(st.just(ring.zero()), st.just(ring.zero()), term)
+        tail = data.draw(st.lists(term, max_size=15))
+        s = from_coeffs(ring, [ring.coerce(root * root)] + tail, 16)
+        q = s.sqrt()
+        assert q[0] == root
+        assert q * q == s
+
 
 class TestCompose:
     def test_identity_substitution(self):

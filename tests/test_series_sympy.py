@@ -1,10 +1,15 @@
-"""Differential test of series reversion against sympy.
+"""Differential tests of series reversion, square roots and Hankel
+determinants against sympy.
 
 ``PowerSeries.revert`` uses Lagrange inversion, so the coefficient-extraction
 checks elsewhere only restate its own formula.  sympy's
 ``rs_series_reversion`` solves f(r) = t by fixed-point iteration, which shares
-neither the algorithm nor the arithmetic.  sympy is a test-only dependency.
+neither the algorithm nor the arithmetic.  ``rs_nth_root`` and
+``Matrix.det`` are likewise independent of J.C.P. Miller's power recurrence
+and of Bareiss elimination.  sympy is a test-only dependency.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 pytest.importorskip("sympy")
 from sympy.polys.domains import QQ as SYMPY_QQ  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
-from sympy.polys.ring_series import rs_series_reversion  # noqa: E402
+from sympy import Matrix, Rational  # noqa: E402
+from sympy.polys.ring_series import rs_nth_root, rs_series_reversion  # noqa: E402
 
 from riordan.exact import QQ, QY, Polynomial  # noqa: E402
+from riordan.hankel import HankelMatrix, hankel_transform  # noqa: E402
 from riordan.series import from_coeffs  # noqa: E402
 
 R, X, T, Y = ring("x, t, y", SYMPY_QQ)
@@ -65,3 +72,29 @@ def test_dual_fibonacci_reversion_matches_sympy():
     while len(fib) < order - 1:
         fib.append(fib[-1] * QY.poly([0, 1]) + fib[-2])
     assert_matches_sympy(from_coeffs(QY, [0] + fib, order))
+
+
+squares = st.sampled_from([Fraction(1), Fraction(4), Fraction(9, 4), Fraction(1, 25)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(squares,
+       st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=15))
+def test_sqrt_over_q_matches_sympy(c0, tail):
+    f = from_coeffs(QQ, [c0] + tail, 16)
+    assert to_sympy(f.sqrt(), X) == rs_nth_root(to_sympy(f, X), 2, X, f.order)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda m: st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    min_size=2 * m + 1, max_size=2 * m + 1)))
+def test_hankel_determinants_match_sympy(seq):
+    m = (len(seq) - 1) // 2
+    want = [
+        Matrix(HankelMatrix(tuple(Rational(q.numerator, q.denominator) for q in seq), k + 1)
+               .rows()).det(method="berkowitz")
+        for k in range(m + 1)
+    ]
+    got = hankel_transform(seq, m)
+    assert [Rational(h.numerator, h.denominator) for h in got] == want
