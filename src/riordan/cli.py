@@ -175,7 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tri = sub.add_parser("triangle", help="print a coefficient triangle", parents=[common])
     p_tri.add_argument("name", nargs="?", help=f"one of: {', '.join(TRIANGLE_NAMES)}, cf@<rational>")
-    p_tri.add_argument("--gf", help="bivariate generating function in x and y")
+    p_tri.add_argument(
+        "--gf",
+        help="bivariate generating function in x and y: row n is [x^n] as a polynomial "
+        "in y, over Q; with a and b instead of y, b is the row variable, the entries "
+        "are polynomials in a, and --invert is refused",
+    )
     p_tri.add_argument("--rows", type=int, default=8, help="number of rows (default 8)")
     p_tri.add_argument("--invert", action="store_true", help="apply the inversion operator first")
     p_tri.add_argument("--eval-at", metavar="Y0", help="evaluate row polynomials at a rational y")

@@ -3,15 +3,19 @@
 Every other module is generic over a coefficient ring.  A ring is described by
 a lightweight descriptor object (``QQ``, ``QY``, ``QA``, ``QAB``) exposing
 ``zero``/``one``/``from_int``/``coerce``/``is_zero``/``invert``/``sqrt``.
-Scalars are ``fractions.Fraction`` values, which already guarantee the
-invariants required here (normalized, positive denominator, zero is 0/1).
-Bivariate polynomials in a and b are realized as polynomials in b whose
-coefficients are polynomials in a.
+Elements of Q are ``fractions.Fraction`` values (normalized, positive
+denominator, zero is 0/1).  A polynomial over Q (Q[y], Q[a]) does not hold
+Fractions: it stores integer numerators over one positive common
+denominator, in lowest terms, so its arithmetic runs on Python ints and
+reduces by one gcd per result; ``Polynomial.coeffs`` rebuilds the Fractions
+for callers outside the arithmetic.  Bivariate polynomials in a and b are
+realized as polynomials in b whose coefficients are polynomials in a.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 # Base scalar type.  Always normalized: gcd(num, den) == 1 and den > 0.
@@ -126,6 +130,8 @@ class PolynomialRing:
             raise ValueError(f"polynomial variable must be one of {POLY_VARS}")
         self.base = base
         self.var = var
+        # Over Q, polynomials store integer numerators over one denominator.
+        self.over_q = isinstance(base, RationalField)
 
     def poly(self, coeffs) -> "Polynomial":
         """Polynomial from an ascending coefficient list (index = degree)."""
@@ -148,30 +154,31 @@ class PolynomialRing:
 
     def coerce(self, x) -> "Polynomial":
         if isinstance(x, Polynomial):
-            if x.ring == self:
+            if x.ring is self or x.ring == self:
                 return x
-            return self.const(self.base.coerce(x))  # element of the base chain
-        return self.const(self.base.coerce(x))
+        elif self.over_q and isinstance(x, (int, Fraction)):
+            return _make(self, (x.numerator,) if x else (), x.denominator)
+        return self.const(self.base.coerce(x))  # an element of the base chain
 
     def is_zero(self, x) -> bool:
-        return isinstance(x, Polynomial) and not x.coeffs and x.ring == self
+        return isinstance(x, Polynomial) and not x._c and (x.ring is self or x.ring == self)
 
     def invert(self, x) -> "Polynomial":
         """Inverse of a unit: only degree-0 polynomials with invertible constant."""
         p = self.coerce(x)
         if p.degree > 0:
             raise ZeroDivisionError(f"{p} is not a unit of {self}")
-        if not p.coeffs:
+        if not p:
             raise ZeroDivisionError(f"inverse of 0 in {self}")
-        return self.const(self.base.invert(p.coeffs[0]))
+        return self.const(self.base.invert(p.coefficient(0)))
 
     def sqrt(self, x) -> "Polynomial":
         p = self.coerce(x)
         if p.degree > 0:
             raise ValueError(f"square root of non-constant polynomial {p}")
-        if not p.coeffs:
+        if not p:
             return self.zero()
-        return self.const(self.base.sqrt(p.coeffs[0]))
+        return self.const(self.base.sqrt(p.coefficient(0)))
 
     def __repr__(self):
         return f"{self.base!r}[{self.var}]"
@@ -188,77 +195,124 @@ class PolynomialRing:
 
 
 class Polynomial:
-    """Dense univariate polynomial over a coefficient ring.
+    """Dense univariate polynomial over a coefficient ring.  Immutable.
 
-    Stored normalized: the highest-index coefficient is nonzero, the zero
-    polynomial has an empty coefficient tuple.  Immutable.
+    ``_c`` holds the ascending stored coefficients and ``_den`` a positive
+    common denominator.  Over Q the stored coefficients are ``int``
+    numerators and the polynomial is sum_k (_c[k] / _den) var^k, kept
+    canonical: no trailing zero, gcd(_c..., _den) == 1, and the zero
+    polynomial is ((), 1).  So two polynomials over the same ring are equal
+    exactly when their stored ints are, and ``+``, ``-`` and ``*`` run on
+    ints.  Over any other base (Q[a] inside Q[a][b]) ``_c`` holds the base
+    elements themselves, with no trailing zero, and ``_den`` is 1.
+
+    ``coeffs`` is the public view, a tuple of base elements (``Fraction``
+    over Q); over Q it is built on each access, for rendering and callers
+    outside the arithmetic.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "_c", "_den")
 
     def __init__(self, ring: PolynomialRing, coeffs):
         coeffs = list(coeffs)
-        while coeffs and ring.base.is_zero(coeffs[-1]):
-            coeffs.pop()
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        if ring.over_q:
+            den = math.lcm(*[c.denominator for c in coeffs])
+            stored, den = _reduced([c.numerator * (den // c.denominator) for c in coeffs], den)
+        else:
+            while coeffs and ring.base.is_zero(coeffs[-1]):
+                coeffs.pop()
+            stored, den = tuple(coeffs), 1
+        _set(self, "ring", ring)
+        _set(self, "_c", stored)
+        _set(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @property
+    def coeffs(self) -> tuple:
+        """Ascending coefficients as base elements; ``Fraction`` over Q."""
+        if not self.ring.over_q:
+            return self._c
+        den = self._den
+        if den == 1:
+            return tuple(map(Fraction, self._c))
+        return tuple(Fraction(c, den) for c in self._c)
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     def coefficient(self, k: int):
         """Coefficient of var^k (zero beyond the stored degree)."""
         if k < 0:
             raise IndexError(f"negative coefficient index {k}")
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.ring.base.zero()
+        if k >= len(self._c):
+            return self.ring.base.zero()
+        if self.ring.over_q:
+            return Fraction(self._c[k], self._den)
+        return self._c[k]
 
     def padded(self, length: int) -> list:
         """Ascending coefficients padded with zeros to exactly ``length``."""
-        if len(self.coeffs) > length:
+        if len(self._c) > length:
             raise ValueError(f"degree {self.degree} exceeds padded length {length}")
         zero = self.ring.base.zero()
-        return list(self.coeffs) + [zero] * (length - len(self.coeffs))
+        return list(self.coeffs) + [zero] * (length - len(self._c))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._c)
 
     def __eq__(self, other):
         try:
             other = self.ring.coerce(other)
         except TypeError:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._c == other._c and self._den == other._den
 
     def __hash__(self):
         # Constants hash like their constant so x == c implies equal hashes.
-        if not self.coeffs:
+        if not self._c:
             return hash(0)
-        if len(self.coeffs) == 1:
-            return hash(self.coeffs[0])
-        return hash((self.ring.var, self.coeffs))
+        if len(self._c) == 1:
+            return hash(self.coefficient(0))
+        return hash((self.ring.var, self._c, self._den))
 
     def __neg__(self):
-        return Polynomial(self.ring, [-c for c in self.coeffs])
+        if self.ring.over_q:
+            return _make(self.ring, tuple([-c for c in self._c]), self._den)
+        return Polynomial(self.ring, [-c for c in self._c])
 
     def __add__(self, other):
         try:
             other = self.ring.coerce(other)
         except TypeError:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        ring = self.ring
+        a, b = self._c, other._c
+        if not b:
+            return self
+        if not a:
+            return other
+        if not ring.over_q:
+            if len(a) < len(b):
+                a, b = b, a
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] = out[i] + c
+            return Polynomial(ring, out)
+        den, other_den = self._den, other._den
+        if den != other_den:
+            g = math.gcd(den, other_den)
+            a = [c * (other_den // g) for c in a]
+            b = [c * (den // g) for c in b]
+            den = den // g * other_den
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(self.ring, out)
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b):]
+        return _make(ring, *_reduced(out, den))
 
     __radd__ = __add__
 
@@ -281,19 +335,29 @@ class Polynomial:
             other = self.ring.coerce(other)
         except TypeError:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        ring = self.ring
+        a, b = self._c, other._c
         if not a or not b:
-            return self.ring.zero()
-        base = self.ring.base
-        out = [base.zero()] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if base.is_zero(ca):
+            return ring.zero()
+        if len(a) < len(b):
+            a, b = b, a
+        if ring.over_q:
+            den = self._den * other._den
+            if len(b) == 1:  # a scalar or a constant
+                return _make(ring, *_reduced([c * b[0] for c in a], den))
+            is_zero, zero = operator.not_, 0
+        else:
+            is_zero, zero = ring.base.is_zero, ring.base.zero()
+        out = [zero] * (len(a) + len(b) - 1)
+        b = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+        for i, x in enumerate(a):
+            if is_zero(x):
                 continue
-            for j, cb in enumerate(b):
-                if base.is_zero(cb):
-                    continue
-                out[i + j] = out[i + j] + ca * cb
-        return Polynomial(self.ring, out)
+            for j, y in b:
+                out[i + j] = out[i + j] + x * y
+        if ring.over_q:
+            return _make(ring, *_reduced(out, den))
+        return Polynomial(ring, out)
 
     __rmul__ = __mul__
 
@@ -318,23 +382,64 @@ class Polynomial:
         """Evaluate by Horner at a point of the coefficient ring."""
         base = self.ring.base
         v = base.coerce(value)
-        acc = base.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        if not self.ring.over_q:
+            acc = base.zero()
+            for c in reversed(self._c):
+                acc = acc * v + c
+            return acc
+        if not self._c:
+            return base.zero()
+        # Horner on integers at v = p/q: after k steps, acc / (q^k * _den) is
+        # the Horner partial sum of the top k+1 coefficients
+        p, q = v.numerator, v.denominator
+        acc, q_power = self._c[-1], 1
+        for c in reversed(self._c[:-1]):
+            q_power *= q
+            acc = acc * p + c * q_power
+        return Fraction(acc, q_power * self._den)
 
     def shift_down(self, k: int) -> "Polynomial":
         """Exact division by var^k; raises unless divisible."""
-        for c in self.coeffs[:k]:
-            if not self.ring.base.is_zero(c):
+        is_zero = operator.not_ if self.ring.over_q else self.ring.base.is_zero
+        for c in self._c[:k]:
+            if not is_zero(c):
                 raise ValueError(f"{self} is not divisible by {self.ring.var}^{k}")
-        return Polynomial(self.ring, self.coeffs[k:])
+        # dropping zeros keeps the content, so the result stays canonical
+        return _make(self.ring, self._c[k:], self._den if len(self._c) > k else 1)
 
     def __str__(self):
         return format_element(self)
 
     def __repr__(self):
         return f"<{self.ring!r}: {self}>"
+
+
+_set = object.__setattr__
+
+
+def _make(ring: PolynomialRing, c: tuple, den: int) -> Polynomial:
+    """Trusted constructor: ``c`` and ``den`` are already in stored form."""
+    p = object.__new__(Polynomial)
+    _set(p, "ring", ring)
+    _set(p, "_c", c)
+    _set(p, "_den", den)
+    return p
+
+
+def _reduced(nums: list, den: int) -> tuple[tuple, int]:
+    """Canonical stored form of sum_k (nums[k] / den) var^k over Q, den > 0:
+    trailing zeros dropped and the common factor of numerators and
+    denominator divided out."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return tuple(nums), den
 
 
 QQ = RationalField()
@@ -358,12 +463,13 @@ def format_element(x) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, Polynomial):
-        if not x.coeffs:
+        coeffs = x.coeffs
+        if not coeffs:
             return "0"
         var = x.ring.var
         parts = []
         for k in range(x.degree, -1, -1):
-            c = x.coeffs[k]
+            c = coeffs[k]
             if x.ring.base.is_zero(c):
                 continue
             s, parens = _format_coefficient(c)

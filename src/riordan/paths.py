@@ -1,10 +1,19 @@
-"""Brute-force combinatorial oracles: Motzkin paths, grand Motzkin paths, and
+"""Combinatorial counting oracles: Motzkin paths, grand Motzkin paths, and
 domino/square tilings, counted by the statistic attached to each triangle.
 
 These never touch the series machinery, so they serve as independent checks
 of the closed forms.  Motzkin paths take steps U=(1,1), D=(1,-1), H=(1,0)
 from height 0 back to height 0; the plain variant never dips below 0, the
-grand variant may.  Enumeration is memoized on (remaining, height, count).
+grand variant may.  Nothing is enumerated path by path: each count is a
+memoized dynamic program over the step-by-step state, (steps remaining,
+height, statistic so far) for paths and (cells remaining, squares so far)
+for tilings.
+
+``MAX_PATH_LENGTH`` and ``MAX_BOARD_LENGTH`` bound the lengths the oracles
+accept, a little above the lengths the ``paths`` suite and the tests check
+(n <= 12 for paths, n <= 14 for tilings).  They are not cost limits: the
+path program has O(n^3) states, and a length-16 count takes about a
+millisecond.
 """
 
 from __future__ import annotations
@@ -40,7 +49,13 @@ def _step_weights(statistic: str) -> tuple[int, int, int]:
 
 
 def count_paths(cls: PathClass, n: int, k: int) -> int:
-    """Paths of length n whose statistic equals k, by exhaustive generation."""
+    """Paths of length n whose statistic equals k.
+
+    A memoized recursion over (steps remaining, height, statistic so far):
+    each state sums the counts after a U, a D (plain paths only above
+    height 0) and an H step, pruned once the statistic exceeds k or the
+    height cannot return to 0 in the remaining steps.
+    """
     if n < 0 or n > MAX_PATH_LENGTH:
         raise ValueError(f"path length must be in 0..{MAX_PATH_LENGTH}, got {n}")
     if k < 0:
@@ -69,8 +84,11 @@ def count_paths(cls: PathClass, n: int, k: int) -> int:
 
 
 def count_tilings(n: int, k: int) -> int:
-    """Tilings of a 1 x n board by dominoes and exactly k unit squares,
-    generated left to right."""
+    """Tilings of a 1 x n board by dominoes and exactly k unit squares.
+
+    A memoized recursion over (cells remaining, squares so far), placing the
+    leftmost tile first: a square or a domino.
+    """
     if n < 0 or n > MAX_BOARD_LENGTH:
         raise ValueError(f"board length must be in 0..{MAX_BOARD_LENGTH}, got {n}")
     if k < 0:

@@ -90,6 +90,24 @@ class TestTriangleCommand:
         )
         assert code == 1 and "not invertible" in err
 
+    def test_gf_in_a_and_b_gives_polynomial_entries(self, capsys):
+        # No y: the ring is Q[a][b], b is the row variable, entries are in a.
+        code, out, err = run_cli(capsys, "triangle", "--gf", "1/(1-a*x)", "--rows", "4")
+        assert code == 0 and err == ""
+        assert out.splitlines() == ["  1", "  a 0", "a^2 0 0", "a^3 0 0 0"]
+        code, out, _ = run_cli(
+            capsys, "triangle", "--gf", "1/(1-a*x-b*x^2)", "--rows", "4", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == [["1"], ["a", "0"], ["a^2", "1", "0"], ["a^3", "2*a", "0", "0"]]
+
+    def test_gf_in_a_and_b_cannot_be_inverted(self, capsys):
+        code, out, err = run_cli(
+            capsys, "triangle", "--gf", "1/(1-a*x)", "--rows", "4", "--invert"
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: inversion is defined for triangles over Q"]
+
     def test_bfile_rejected_for_triangles(self, capsys):
         code, _, err = run_cli(
             capsys, "triangle", "fib", "--rows", "3", "--format", "bfile"

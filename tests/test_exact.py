@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from riordan.exact import (
     QA,
@@ -199,3 +199,184 @@ class TestFormatting:
         assert format_element(14 * b ** 2 + 42 * a ** 2 * b + 14 * a ** 4) == (
             "14*b^2+42*a^2*b+14*a^4"
         )
+
+
+# ---------------------------------------------------------------------------
+# The Q[y] and Q[a][b] kernel against a plain oracle.  A polynomial is a dict
+# {exponent tuple: Fraction} there: (k,) for y^k, (i, j) for a^i b^j.  The
+# oracle shares no code with exact.Polynomial.
+
+def o_clean(p):
+    return {e: c for e, c in p.items() if c}
+
+
+def o_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return o_clean(out)
+
+
+def o_neg(p):
+    return {e: -c for e, c in p.items()}
+
+
+def o_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return o_clean(out)
+
+
+def o_pow(p, n, one):
+    out = one
+    for _ in range(n):
+        out = o_mul(out, p)
+    return out
+
+
+def terms(p):
+    """The oracle dict of a Q[y], Q[a] or Q[a][b] polynomial."""
+    out = {}
+    for k, c in enumerate(p.coeffs):
+        if isinstance(c, Fraction):
+            if c:
+                out[(k,)] = c
+        else:
+            out.update({(i, k): ci for (i,), ci in terms(c).items()})
+    return out
+
+
+def assert_canonical(p):
+    """Stored form over Q: int numerators, no trailing zero, one positive
+    denominator sharing no factor with every numerator; zero is ((), 1)."""
+    from math import gcd
+
+    rings = [p] if p.ring.over_q else list(p.coeffs)
+    for q in rings:
+        assert all(type(c) is int for c in q._c)
+        assert type(q._den) is int and q._den > 0
+        assert not q._c or q._c[-1] != 0
+        assert gcd(q._den, *q._c) == 1
+    if not p.ring.over_q:
+        assert not p._c or p._c[-1]
+        assert p._den == 1
+
+
+qa_polys = st.lists(rationals, max_size=4).map(QA.poly)
+qab_polys = st.lists(qa_polys, max_size=4).map(QAB.poly)
+either = st.sampled_from([(polys, (0,)), (qab_polys, (0, 0))])
+
+
+@st.composite
+def poly_pairs(draw):
+    polys, unit = draw(either)
+    return draw(polys), draw(polys), unit
+
+
+class TestKernelAgainstOracle:
+    @given(poly_pairs())
+    def test_add_sub_neg(self, pq):
+        p, q, _ = pq
+        for got, want in (
+            (p + q, o_add(terms(p), terms(q))),
+            (p - q, o_add(terms(p), o_neg(terms(q)))),
+            (-p, o_neg(terms(p))),
+        ):
+            assert_canonical(got)
+            assert terms(got) == want
+
+    @given(poly_pairs())
+    def test_mul(self, pq):
+        p, q, _ = pq
+        got = p * q
+        assert_canonical(got)
+        assert terms(got) == o_mul(terms(p), terms(q))
+
+    @given(poly_pairs(), rationals)
+    def test_scalar_mixing(self, pq, c):
+        p, _, unit = pq
+        const = {unit: c} if c else {}
+        for got, want in (
+            (p * c, o_mul(terms(p), const)),
+            (c * p, o_mul(terms(p), const)),
+            (p + c, o_add(terms(p), const)),
+            (c - p, o_add(const, o_neg(terms(p)))),
+        ):
+            assert_canonical(got)
+            assert terms(got) == want
+
+    @settings(max_examples=50)
+    @given(poly_pairs(), st.integers(0, 4))
+    def test_pow(self, pq, n):
+        p, _, unit = pq
+        got = p ** n
+        assert_canonical(got)
+        assert terms(got) == o_pow(terms(p), n, {unit: Fraction(1)})
+
+    @given(polys, rationals)
+    def test_call_over_qy(self, p, v):
+        assert p(v) == sum((c * v ** k for (k,), c in terms(p).items()), Fraction(0))
+        assert type(p(v)) is Fraction
+
+    @given(qab_polys, qa_polys)
+    def test_call_over_qab(self, p, v):
+        got = p(v)
+        assert got.ring == QA
+        assert_canonical(got)
+        want = {}
+        for (i, j), c in terms(p).items():
+            want = o_add(want, o_mul({(i,): c}, o_pow(terms(v), j, {(0,): Fraction(1)})))
+        assert terms(got) == want
+
+    @given(poly_pairs(), st.integers(0, 3))
+    def test_shift_down(self, pq, k):
+        p, _, unit = pq
+        var_k = QY.generator() ** k if unit == (0,) else QAB.generator() ** k
+        got = (p * var_k).shift_down(k)
+        assert_canonical(got)
+        assert got == p
+        if k and p and terms(p).get(unit):
+            with pytest.raises(ValueError):
+                p.shift_down(k)
+
+
+class TestKernelInvariants:
+    @given(st.lists(st.sampled_from([0, 1, Fraction(1, 2), Fraction(2, 4)]), max_size=3),
+           st.lists(st.sampled_from([0, 1, Fraction(1, 2), Fraction(2, 4)]), max_size=3))
+    def test_equality_is_equal_coeffs(self, cp, cq):
+        p, q = QY.poly(cp), QY.poly(cq)
+        assert (p == q) == (p.coeffs == q.coeffs)
+        if p == q:
+            assert hash(p) == hash(q)
+
+    @given(rationals)
+    def test_constant_hashes_like_its_fraction(self, c):
+        for ring in (QY, QA, QAB):
+            p = ring.const(c)
+            assert p == c and c == p
+            assert hash(p) == hash(c)
+        assert QY.const(Fraction(1, 2)) == Fraction(1, 2)
+        assert QY.const(Fraction(1, 2)) != Fraction(1, 3)
+
+    def test_mixed_denominators_cancel_to_denominator_1(self):
+        y = QY.generator()
+        third = Fraction(1, 3)
+        s = (y / 2 + third) + (y / 2 - third)
+        assert s == y
+        assert_canonical(s)
+        assert s._den == 1 and s._c == (0, 1)
+        assert s.coeffs == (Fraction(0), Fraction(1))
+        t = QY.poly([Fraction(1, 6), Fraction(1, 10)]) + QY.poly([Fraction(1, 3), Fraction(2, 5)])
+        assert t._c == (1, 1) and t._den == 2
+
+    @given(poly_pairs())
+    def test_full_cancellation_is_zero(self, pq):
+        p, _, _ = pq
+        for s in (p + (-p), p - p, -p + p):
+            assert not s and s == 0 and s.degree == -1
+            assert s._c == () and s._den == 1
+            assert hash(s) == hash(0)
+            assert s == s.ring.zero()

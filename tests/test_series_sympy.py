@@ -1,12 +1,13 @@
-"""Differential tests of series reversion, square roots and Hankel
-determinants against sympy.
+"""Differential tests of series reversion, square roots, Hankel
+determinants and Q[y] and Q[a][b] polynomial products against sympy.
 
 ``PowerSeries.revert`` uses Lagrange inversion, so the coefficient-extraction
 checks elsewhere only restate its own formula.  sympy's
 ``rs_series_reversion`` solves f(r) = t by fixed-point iteration, which shares
 neither the algorithm nor the arithmetic.  ``rs_nth_root`` and
 ``Matrix.det`` are likewise independent of J.C.P. Miller's power recurrence
-and of Bareiss elimination.  sympy is a test-only dependency.
+and of Bareiss elimination, and ``sympy.Poly`` of the integer-numerator
+kernel in ``riordan.exact``.  sympy is a test-only dependency.
 """
 
 from fractions import Fraction
@@ -17,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 pytest.importorskip("sympy")
 from sympy.polys.domains import QQ as SYMPY_QQ  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
-from sympy import Matrix, Rational  # noqa: E402
+from sympy import Matrix, Poly, Rational, symbols  # noqa: E402
 from sympy.polys.ring_series import rs_nth_root, rs_series_reversion  # noqa: E402
 
-from riordan.exact import QQ, QY, Polynomial  # noqa: E402
+from riordan.exact import QA, QAB, QQ, QY, Polynomial  # noqa: E402
 from riordan.hankel import HankelMatrix, hankel_transform  # noqa: E402
 from riordan.series import from_coeffs  # noqa: E402
 
@@ -98,3 +99,29 @@ def test_hankel_determinants_match_sympy(seq):
     ]
     got = hankel_transform(seq, m)
     assert [Rational(h.numerator, h.denominator) for h in got] == want
+
+
+SY, SA, SB = symbols("y a b")
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=8)
+qy_polys = st.lists(rationals, max_size=12).map(QY.poly)
+qab_polys = st.lists(st.lists(rationals, max_size=5).map(QA.poly), max_size=5).map(QAB.poly)
+
+
+def to_sympy_poly(p):
+    """A Q[y] or Q[a][b] polynomial as a ``sympy.Poly`` over sympy's Q."""
+    def scalar(q):
+        return Rational(q.numerator, q.denominator)
+
+    if p.ring == QY:
+        terms = {(k,): scalar(c) for k, c in enumerate(p.coeffs)}
+        return Poly.from_dict(terms, SY, domain="QQ")
+    terms = {(i, k): scalar(ci) for k, c in enumerate(p.coeffs) for i, ci in enumerate(c.coeffs)}
+    return Poly.from_dict(terms, SA, SB, domain="QQ")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.tuples(qy_polys, qy_polys), st.tuples(qab_polys, qab_polys)))
+def test_products_match_sympy(pq):
+    p, q = pq
+    assert to_sympy_poly(p * q) == to_sympy_poly(p) * to_sympy_poly(q)
+    assert to_sympy_poly(p + q) == to_sympy_poly(p) + to_sympy_poly(q)
