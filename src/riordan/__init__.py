@@ -33,7 +33,6 @@ from .hankel import (
 )
 from .paths import PathClass, count_paths, count_tilings
 from .series import (
-    DEFAULT_ORDER,
     PowerSeries,
     constant,
     from_coeffs,
@@ -83,7 +82,6 @@ __all__ = [
     "PathClass",
     "count_paths",
     "count_tilings",
-    "DEFAULT_ORDER",
     "PowerSeries",
     "constant",
     "from_coeffs",

@@ -14,30 +14,12 @@ import sys
 from fractions import Fraction
 
 from . import families, verify
-from .exact import QQ, format_element
+from .exact import format_element
 from .gfparse import GfEvalError, ParseError, eval_gf
 from .hankel import hankel_transform
-from .series import DEFAULT_ORDER
-from .triangles import (
-    Triangle,
-    build_exponential,
-    build_ordinary,
-    build_from_bgf,
-    eval_rows,
-    invert_triangle,
-    row_sums,
-)
+from .triangles import Triangle, build_from_bgf, eval_rows, invert_triangle, row_sums
 
-TRIANGLE_NAMES = (
-    "fib",
-    "dual-fib",
-    "tilde",
-    "tildetilde",
-    "a011973",
-    "a111959",
-    "i0-dual",
-    "cf-coeff",
-)
+TRIANGLE_HELP = f"{', '.join(families.TRIANGLES)}, cf@<rational>"
 FORMATS = ("table", "csv", "json", "bfile")
 
 
@@ -52,46 +34,21 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise CliError(f"bad {what} {text!r}: {exc}") from exc
 
 
-def resolve_triangle(spec: str | None, gf: str | None, rows: int, order: int) -> Triangle:
+def resolve_triangle(spec: str | None, gf: str | None, rows: int) -> Triangle:
     if (spec is None) == (gf is None):
         raise CliError("give exactly one of a triangle name or --gf")
     if rows < 1:
         raise CliError("--rows must be >= 1")
     if gf is not None:
-        series = eval_gf(gf, max(rows, order))
-        return build_from_bgf(series, rows)
+        return build_from_bgf(eval_gf(gf, rows), rows)
     if spec.startswith("cf@"):
         return families.cf_matrix(_parse_rational(spec[3:], "cf@ value"), rows)
-    if spec == "fib":
-        return Triangle(QQ, [[families.fib_coeff(n, k) for k in range(n + 1)] for n in range(rows)])
-    if spec == "dual-fib":
-        return Triangle(
-            QQ, [[families.dual_fib_coeff(n, k) for k in range(n + 1)] for n in range(rows)]
-        )
-    if spec == "tilde":
-        return Triangle(QQ, [[families.tilde_coeff(n, k) for k in range(n + 1)] for n in range(rows)])
-    if spec == "tildetilde":
-        return Triangle(
-            QQ,
-            [
-                [families.tildetilde_coeff(n, k) if 2 * k <= n else 0 for k in range(n + 1)]
-                for n in range(rows)
-            ],
-        )
-    if spec == "cf-coeff":
-        return families.cf_coeff_triangle(rows)
-    if spec == "a011973":
-        return build_ordinary(families.pair_a011973(rows), rows)
-    if spec == "a111959":
-        return build_ordinary(families.pair_a111959(rows), rows)
-    if spec == "i0-dual":
-        return build_exponential(families.pair_exp_j0(rows), rows)
-    raise CliError(
-        f"unknown triangle {spec!r}; names: {', '.join(TRIANGLE_NAMES)}, cf@<rational>"
-    )
+    if spec not in families.TRIANGLES:
+        raise CliError(f"unknown triangle {spec!r}; names: {TRIANGLE_HELP}")
+    return families.TRIANGLES[spec](rows)
 
 
-def resolve_sequence(spec: str, n_terms: int, order: int) -> list:
+def resolve_sequence(spec: str, n_terms: int) -> list:
     if n_terms < 1:
         raise CliError("-n must be >= 1")
     if spec.startswith("dual-cf@"):
@@ -99,14 +56,13 @@ def resolve_sequence(spec: str, n_terms: int, order: int) -> list:
         polys = families.dual_cf_sequence(n_terms + 1)
         return [p(y0) for p in polys[1:]]
     if spec.startswith("rowsums:"):
-        T = resolve_triangle(spec[len("rowsums:"):], None, n_terms, order)
+        T = resolve_triangle(spec[len("rowsums:"):], None, n_terms)
         return row_sums(T)
     if spec.startswith("hankel:"):
-        source = resolve_sequence(spec[len("hankel:"):], 2 * n_terms - 1, order)
+        source = resolve_sequence(spec[len("hankel:"):], 2 * n_terms - 1)
         return hankel_transform(source, n_terms - 1)
     if spec.startswith("gf:"):
-        series = eval_gf(spec[len("gf:"):], max(n_terms, order))
-        return list(series.coeffs[:n_terms])
+        return list(eval_gf(spec[len("gf:"):], n_terms).coeffs)
     raise CliError(
         f"unknown sequence {spec!r}; forms: dual-cf@<rational>, rowsums:<triangle>, "
         "hankel:<sequence>, gf:<expression>"
@@ -164,17 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="riordan",
         description="Exact triangles, dual polynomial sequences, and identity checks.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--order",
-        type=int,
-        default=DEFAULT_ORDER,
-        help=f"working series truncation order (default {DEFAULT_ORDER})",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_tri = sub.add_parser("triangle", help="print a coefficient triangle", parents=[common])
-    p_tri.add_argument("name", nargs="?", help=f"one of: {', '.join(TRIANGLE_NAMES)}, cf@<rational>")
+    p_tri = sub.add_parser("triangle", help="print a coefficient triangle")
+    p_tri.add_argument("name", nargs="?", help=f"one of: {TRIANGLE_HELP}")
     p_tri.add_argument(
         "--gf",
         help="bivariate generating function in x and y: row n is [x^n] as a polynomial "
@@ -187,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tri.add_argument("--format", choices=FORMATS, default="table")
     p_tri.add_argument("--offset", type=int, default=0, help="b-file start index (default 0)")
 
-    p_seq = sub.add_parser("sequence", help="print an exact sequence", parents=[common])
+    p_seq = sub.add_parser("sequence", help="print an exact sequence")
     p_seq.add_argument(
         "spec", help="dual-cf@<rational> | rowsums:<triangle> | hankel:<sequence> | gf:<expression>"
     )
@@ -204,7 +153,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "triangle":
-            T = resolve_triangle(args.name, args.gf, args.rows, args.order)
+            T = resolve_triangle(args.name, args.gf, args.rows)
             if args.invert:
                 T = invert_triangle(T)
             if args.eval_at is not None:
@@ -214,7 +163,7 @@ def main(argv=None) -> int:
                 print(render_triangle(T, args.format))
             return 0
         if args.command == "sequence":
-            values = resolve_sequence(args.spec, args.terms, args.order)
+            values = resolve_sequence(args.spec, args.terms)
             print(render_sequence(values, args.format, args.offset))
             return 0
         text, ok = render_reports(verify.run(args.suite))

@@ -10,12 +10,13 @@ rows from the degree-0 polynomial of index 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cache
 
 from .exact import QQ, QY, QA, QAB, Polynomial, binomial, catalan
 from .series import PowerSeries, from_coeffs, x_series, generator_series
-from .triangles import RiordanPair, Triangle, build_exponential
+from .triangles import RiordanPair, Triangle, build_exponential, build_ordinary
 
 FAMILY_NAMES = (
     "fib",
@@ -75,6 +76,21 @@ def tildetilde_coeff(n: int, k: int) -> int:
     return binomial(n, 2 * k) * catalan(k) * (-1) ** (n - k)
 
 
+def _tildetilde_entry(n: int, k: int) -> int:
+    """Entry (n, k) of the tildetilde triangle: zero where 2k > n."""
+    return tildetilde_coeff(n, k) if 2 * k <= n else 0
+
+
+# Closed-form entry (n, k) of the coefficient triangle of each family; row
+# n - 1 holds the coefficients of the family's n-th polynomial.
+_FAMILY_ENTRIES = {
+    "fib": fib_coeff,
+    "dual_fib": dual_fib_coeff,
+    "tilde_fib": tilde_coeff,
+    "tildetilde_fib": _tildetilde_entry,
+}
+
+
 @cache
 def _dual_cf_series(order: int) -> PowerSeries:
     """x(sqrt(1 - 4yx^2) - x) over Q[y]."""
@@ -106,16 +122,10 @@ def family_poly(name: str, n: int) -> Polynomial:
     if n == 0:
         return QY.zero()
     m = n - 1
-    if name == "fib":
-        return QY.poly([fib_coeff(m, k) for k in range(m + 1)])
-    if name == "dual_fib":
-        return QY.poly([dual_fib_coeff(m, k) for k in range(m + 1)])
-    if name == "tilde_fib":
-        return QY.poly([tilde_coeff(m, k) for k in range(m + 1)])
-    if name == "tildetilde_fib":
-        return QY.poly([tildetilde_coeff(m, k) for k in range(m // 2 + 1)])
-    # cf: Catalan-scaled Fibonacci polynomial
-    return catalan(m) * family_poly("fib", n)
+    if name == "cf":  # Catalan-scaled Fibonacci polynomial
+        return catalan(m) * family_poly("fib", n)
+    entry = _FAMILY_ENTRIES[name]
+    return QY.poly([entry(m, k) for k in range(m + 1)])
 
 
 def _pochhammer(x: Fraction, j: int) -> Fraction:
@@ -255,6 +265,26 @@ def pair_exp_j1(order: int) -> RiordanPair:
 def pair_exp_j0(order: int) -> RiordanPair:
     """Exponential pair [J_0(2x), -x]: the inversion of the central triangle."""
     return RiordanPair(bessel_j0(order), -x_series(QQ, order), kind="exponential")
+
+
+# ---------------------------------------------------------------------------
+# The named triangles of the CLI: name -> builder taking the number of rows.
+# Every one is over Q with t_(0,0) = 1, so every one can be inverted.
+
+def _closed_form(entry):
+    return lambda rows: Triangle(QQ, [[entry(n, k) for k in range(n + 1)] for n in range(rows)])
+
+
+TRIANGLES: dict[str, Callable[[int], Triangle]] = {
+    "fib": _closed_form(fib_coeff),
+    "dual-fib": _closed_form(dual_fib_coeff),
+    "tilde": _closed_form(tilde_coeff),
+    "tildetilde": _closed_form(_tildetilde_entry),
+    "a011973": lambda rows: build_ordinary(pair_a011973(rows), rows),
+    "a111959": lambda rows: build_ordinary(pair_a111959(rows), rows),
+    "i0-dual": lambda rows: build_exponential(pair_exp_j0(rows), rows),
+    "cf-coeff": cf_coeff_triangle,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -321,26 +321,30 @@ def ring_for(node: Node):
 
 
 def eval_ast(node: Node, order: int, ring=None) -> PowerSeries:
-    """Evaluate bottom-up to a truncated series over ``ring`` (auto-chosen
-    from the variables when omitted).  Series-domain failures are re-raised
-    with the source offset of the responsible node."""
+    """Evaluate bottom-up to a series of ``order`` coefficients over ``ring``
+    (auto-chosen from the variables when omitted).  Series-domain failures
+    are re-raised with the source offset of the responsible node.
+
+    Every operation is prefix-exact: coefficient n of a result depends only
+    on coefficients 0..n of its inputs.  So the result is the first
+    ``order`` coefficients at any larger working order.  The working order
+    is at least 2, because ``rev`` needs the coefficient of x."""
     if ring is None:
         ring = ring_for(node)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    work = max(order, 2)
 
     def ev(n: Node) -> PowerSeries:
         try:
             if isinstance(n, IntLit):
-                return constant(ring, n.value, order)
+                return constant(ring, n.value, work)
             if isinstance(n, RatLit):
-                return constant(ring, n.value, order)
+                return constant(ring, n.value, work)
             if isinstance(n, Var):
                 if n.name == "x":
-                    if order < 2:
-                        return constant(ring, 0, order)
-                    return x_series(ring, order)
-                return generator_series(ring, n.name, order)
+                    return x_series(ring, work)
+                return generator_series(ring, n.name, work)
             if isinstance(n, Neg):
                 return -ev(n.operand)
             if isinstance(n, BinOp):
@@ -363,7 +367,8 @@ def eval_ast(node: Node, order: int, ring=None) -> PowerSeries:
             raise GfEvalError(str(exc), n.pos) from exc
         raise TypeError(f"not an AST node: {n!r}")
 
-    return ev(node)
+    series = ev(node)
+    return series if work == order else series.truncate(order)
 
 
 def eval_gf(text: str, order: int, ring=None) -> PowerSeries:

@@ -45,7 +45,16 @@ class HankelMatrix:
 
 def _scale_to_integers(values) -> tuple[list[int], int]:
     """The integers L*v and their least common denominator L."""
-    qs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    qs = []
+    for i, v in enumerate(values):
+        if not isinstance(v, (int, Fraction)):
+            try:
+                v = Fraction(v)
+            except TypeError:
+                raise TypeError(
+                    f"Hankel determinants need rational terms; term {i} is {v!r}"
+                ) from None
+        qs.append(v)
     lcd = math.lcm(*(q.denominator for q in qs))
     return [q.numerator * (lcd // q.denominator) for q in qs], lcd
 

@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .exact import PolynomialRing
 
-DEFAULT_ORDER = 32
-
 
 class PowerSeries:
     __slots__ = ("ring", "coeffs")

@@ -49,6 +49,9 @@ class SuiteReport:
 def _compare_sequences(label, got, want, report, detail_on_pass=""):
     got = list(got)
     want = list(want)
+    if len(got) != len(want):
+        report.add(label, False, f"length mismatch: got {len(got)} terms, want {len(want)}")
+        return
     for i, (g, w) in enumerate(zip(got, want)):
         if g != w:
             report.add(label, False, f"first mismatch at index {i}: {g} != {w}")

@@ -4,20 +4,16 @@ Each test prints one ACCEPTANCE PASS/FAIL line (all arithmetic is exact, so
 every comparison below is equality, never a tolerance).
 """
 
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
 import known_values as kv
 from riordan import verify
-from riordan.exact import QAB, QQ, QY, binomial, catalan
+from riordan.exact import QQ, QY, binomial, catalan
 from riordan.families import (
     cf_coeff_triangle,
-    cf_coeffs,
     cf_matrix,
-    dual_fib_polys_by_even_form,
-    dual_fib_polys_by_exponential,
-    dual_fib_polys_by_laurent,
-    dual_fib_polys_by_reversion,
     pair_a011973,
     pair_a111959,
     pair_central,
@@ -50,6 +46,16 @@ def criterion(name):
 
 def as_ints(T):
     return [[int(e) for e in row] for row in T.rows]
+
+
+def assert_verified(report, names, bound):
+    """Each named check of a ``verify`` report passes, at the bound its
+    detail states (the last integer in the detail)."""
+    checks = {c.name: c for c in report.checks}
+    for name in names:
+        check = checks[name]
+        assert check.ok, f"{name}: {check.detail}"
+        assert int(re.findall(r"\d+", check.detail)[-1]) == bound, check.detail
 
 
 def test_printed_matrix_reproduction():
@@ -86,24 +92,25 @@ def test_printed_matrix_reproduction():
 
 def test_duality_routes():
     with criterion("duality routes (a)-(d) agree identically for n <= 16"):
-        n_max = 16
-        a = dual_fib_polys_by_reversion(n_max)
-        b = dual_fib_polys_by_exponential(n_max)
-        c = dual_fib_polys_by_laurent(n_max)
-        d = dual_fib_polys_by_even_form(n_max)
-        assert len(a) == n_max + 1
-        assert tuple(a) == tuple(b) == tuple(c) == tuple(d)
+        assert_verified(
+            verify.duality_suite(),
+            [
+                "route agreement: series reversion vs exponential array",
+                "route agreement: series reversion vs odd-power rows",
+                "route agreement: series reversion vs even-power rows",
+                "closed-form accessor matches reversion route",
+            ],
+            bound=16,
+        )
 
 
 def test_lagrange_proposition():
     with criterion("reversion coefficients over Q[a][b] equal C_n*sum binom(n-i,i)a^(n-2i)b^i, n <= 12"):
-        order = 14
-        x = x_series(QAB, order)
-        a = generator_series(QAB, "a", order)
-        b = generator_series(QAB, "b", order)
-        rev = (x * ((1 - 4 * b * x * x).sqrt() - a * x)).revert()
-        for n in range(13):
-            assert rev[n + 1] == cf_coeffs(n)
+        assert_verified(
+            verify.lagrange_suite(),
+            ["reversion coefficients equal the bivariate closed form"],
+            bound=12,
+        )
 
 
 def test_closed_form_reversion():
@@ -191,9 +198,15 @@ def test_path_oracles():
 
 def test_involution():
     with criterion("double inversion restores all three invertible triangles at 16 rows"):
-        for pair_fn in (pair_fib, pair_x_plus_x2, pair_a111959):
-            T = build_ordinary(pair_fn(17), 16)
-            assert invert_triangle(invert_triangle(T)) == T
+        assert_verified(
+            verify.involution_suite(),
+            [
+                "double inversion restores Fibonacci coefficient triangle",
+                "double inversion restores (1, x+x^2) triangle",
+                "double inversion restores central coefficient triangle",
+            ],
+            bound=16,
+        )
 
 
 def test_documented_discrepancies():

@@ -74,7 +74,11 @@ class TestTriangleCommand:
 
     def test_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "triangle", "nope", "--rows", "3")
-        assert code == 1 and "unknown triangle" in err
+        assert code == 1
+        assert err == (
+            "error: unknown triangle 'nope'; names: fib, dual-fib, tilde, tildetilde, "
+            "a011973, a111959, i0-dual, cf-coeff, cf@<rational>\n"
+        )
 
     def test_name_and_gf_conflict(self, capsys):
         code, _, err = run_cli(capsys, "triangle", "fib", "--gf", "1", "--rows", "3")
@@ -178,12 +182,19 @@ class TestSequenceCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "offset" in err and "Traceback" not in err
 
-    def test_order_flag_gives_headroom(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sequence", "gf:1/(1-x)", "-n", "40", "--order", "8"
-        )
-        assert code == 0
-        assert out.strip() == " ".join(["1"] * 40)
+    @pytest.mark.parametrize("gf", ["1/(1-y*x)", "1/(1-a*x)"])
+    def test_hankel_of_polynomial_terms_is_a_clean_error(self, capsys, gf):
+        code, out, err = run_cli(capsys, "sequence", f"hankel:gf:{gf}", "-n", "3")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "need rational terms" in err and "Traceback" not in err
+
+    def test_no_order_option(self, capsys):
+        # the working order is the number of terms requested
+        with pytest.raises(SystemExit) as exc:
+            main(["sequence", "gf:1/(1-x)", "-n", "4", "--order", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --order 8" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -8,6 +8,7 @@ import known_values as kv
 from riordan.exact import QA, QAB, QQ, QY, binomial, catalan
 from riordan.families import (
     FAMILY_NAMES,
+    TRIANGLES,
     cf_coeff_triangle,
     cf_coeffs,
     cf_matrix,
@@ -112,6 +113,24 @@ class TestFamilyPolynomials:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             family_poly("nope", 3)
+
+
+class TestTriangleTable:
+    @pytest.mark.parametrize("name", list(TRIANGLES))
+    def test_every_entry_double_inverts(self, name):
+        T = TRIANGLES[name](16)
+        assert T.ring == QQ and T.n_rows == 16 and T.entry(0, 0) == 1
+        assert invert_triangle(invert_triangle(T)) == T
+
+    @pytest.mark.parametrize(
+        "family,triangle",
+        [("fib", "fib"), ("dual_fib", "dual-fib"), ("tilde_fib", "tilde"),
+         ("tildetilde_fib", "tildetilde")],
+    )
+    def test_family_polynomials_are_the_table_rows(self, family, triangle):
+        T = TRIANGLES[triangle](12)
+        for n in range(1, 13):
+            assert family_poly(family, n).padded(n) == list(T.rows[n - 1]), n
 
 
 class TestHypergeometric:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from riordan.exact import QAB, QQ, QY
 from riordan.gfparse import (
@@ -185,6 +185,52 @@ class TestRoundTrip:
         for text in ("1/(1-y*x-x^2)", "x*(sqrt(1-4*y*x^2)-x)", "rev(x/(1-y*x-x^2))"):
             ast = parse(text)
             assert parse(to_text(ast)) == ast
+
+
+def _one_ring_asts(generators):
+    leaves = st.one_of(
+        st.integers(0, 9).map(IntLit),
+        st.sampled_from(("x",) + generators).map(Var),
+        st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]).map(RatLit),
+    )
+    return st.recursive(leaves, _compose_with_reversions, max_leaves=8)
+
+
+def _compose_with_reversions(children):
+    # rev(x + x^2*e) always has a unit coefficient of x, so it can be reverted
+    reversible = children.map(
+        lambda e: Call("rev", BinOp("+", Var("x"), BinOp("*", Pow(Var("x"), 2), e)))
+    )
+    return st.one_of(_compose(children), reversible)
+
+
+# Random expressions over Q, Q[y] or Q[a][b].
+gf_asts = st.sampled_from([(), ("y",), ("a", "b")]).flatmap(_one_ring_asts)
+
+WORKING_ORDER = 10
+
+
+def _evaluated(text, order):
+    """The coefficients of ``text`` at ``order``, or the evaluation error."""
+    try:
+        return eval_gf(text, order).coeffs
+    except GfEvalError as exc:
+        return str(exc)
+
+
+class TestPrefixExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(gf_asts, st.integers(1, WORKING_ORDER))
+    @example(parse("rev(x-x^2)"), 1)
+    @example(parse("sqrt(1+x)/rev(2*x+y*x^2)"), 1)
+    def test_first_terms_do_not_depend_on_the_order(self, ast, k):
+        text = to_text(ast)
+        full = _evaluated(text, WORKING_ORDER)
+        part = _evaluated(text, k)
+        if isinstance(full, str):
+            assert part == full  # fails at k exactly when it fails at the full order
+        else:
+            assert part == full[:k]
 
 
 # Malformed inputs with the exact offset the error must carry.

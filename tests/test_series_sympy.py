@@ -1,10 +1,12 @@
-"""Differential tests of series reversion, square roots, Hankel
+"""Differential tests of series reversion, composition, square roots, Hankel
 determinants and Q[y] and Q[a][b] polynomial products against sympy.
 
 ``PowerSeries.revert`` uses Lagrange inversion, so the coefficient-extraction
 checks elsewhere only restate its own formula.  sympy's
 ``rs_series_reversion`` solves f(r) = t by fixed-point iteration, which shares
-neither the algorithm nor the arithmetic.  ``rs_nth_root`` and
+neither the algorithm nor the arithmetic.  ``rs_subs`` substitutes the
+inner series into a sympy polynomial, not by Horner's rule in the series
+ring as ``PowerSeries.compose`` does.  ``rs_nth_root`` and
 ``Matrix.det`` are likewise independent of J.C.P. Miller's power recurrence
 and of Bareiss elimination, and ``sympy.Poly`` of the integer-numerator
 kernel in ``riordan.exact``.  sympy is a test-only dependency.
@@ -19,7 +21,7 @@ pytest.importorskip("sympy")
 from sympy.polys.domains import QQ as SYMPY_QQ  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 from sympy import Matrix, Poly, Rational, symbols  # noqa: E402
-from sympy.polys.ring_series import rs_nth_root, rs_series_reversion  # noqa: E402
+from sympy.polys.ring_series import rs_nth_root, rs_series_reversion, rs_subs  # noqa: E402
 
 from riordan.exact import QA, QAB, QQ, QY, Polynomial  # noqa: E402
 from riordan.hankel import HankelMatrix, hankel_transform  # noqa: E402
@@ -73,6 +75,31 @@ def test_dual_fibonacci_reversion_matches_sympy():
     while len(fib) < order - 1:
         fib.append(fib[-1] * QY.poly([0, 1]) + fib[-2])
     assert_matches_sympy(from_coeffs(QY, [0] + fib, order))
+
+
+def assert_compose_matches_sympy(f, g):
+    want = rs_subs(to_sympy(f, T), {T: to_sympy(g, X)}, X, min(f.order, g.order))
+    assert to_sympy(f.compose(g), X) == want
+
+
+q_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(q_coeffs, min_size=1, max_size=14), st.lists(q_coeffs, max_size=13))
+def test_compose_over_q_matches_sympy(f, g_tail):
+    # the orders differ, so the result is truncated to the smaller one
+    assert_compose_matches_sympy(from_coeffs(QQ, f), from_coeffs(QQ, [0] + g_tail))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), max_size=3), min_size=1, max_size=8),
+       st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=7))
+def test_compose_over_qy_matches_sympy(f, g_tail):
+    assert_compose_matches_sympy(
+        from_coeffs(QY, [QY.poly(c) for c in f]),
+        from_coeffs(QY, [QY.zero()] + [QY.poly(c) for c in g_tail]),
+    )
 
 
 squares = st.sampled_from([Fraction(1), Fraction(4), Fraction(9, 4), Fraction(1, 25)])

@@ -136,6 +136,19 @@ class TestInversion:
         T = build_ordinary(pair_fn(17), 16)
         assert invert_triangle(invert_triangle(T)) == T
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_involution_on_random_triangles(self, data):
+        # any rational triangle with a unit head t_(0,0) = +-1, up to 8 rows
+        n_rows = data.draw(st.integers(1, 8))
+        entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        rows = [[data.draw(st.sampled_from([1, -1]))]] + [
+            data.draw(st.lists(entries, min_size=n + 1, max_size=n + 1))
+            for n in range(1, n_rows)
+        ]
+        T = Triangle(QQ, rows)
+        assert invert_triangle(invert_triangle(T)) == T
+
     def test_bell_duality(self):
         T = build_ordinary(pair_fib(13), 12)
         assert invert_triangle(T) == build_exponential(pair_exp_j1(12), 12)
