@@ -23,14 +23,7 @@ from .exact import (
     jacobsthal,
 )
 from .gfparse import GfEvalError, ParseError, eval_ast, eval_gf, parse, to_text
-from .hankel import (
-    GfMatchReport,
-    HankelMatrix,
-    determinant,
-    expand_rational,
-    hankel_transform,
-    match_rational_gf,
-)
+from .hankel import determinant, hankel_transform
 from .paths import PathClass, count_paths, count_tilings
 from .series import (
     PowerSeries,
@@ -73,12 +66,8 @@ __all__ = [
     "eval_gf",
     "parse",
     "to_text",
-    "GfMatchReport",
-    "HankelMatrix",
     "determinant",
-    "expand_rational",
     "hankel_transform",
-    "match_rational_gf",
     "PathClass",
     "count_paths",
     "count_tilings",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import cache
 
 # Base scalar type.  Always normalized: gcd(num, den) == 1 and den > 0.
 ExactRational = Fraction
@@ -36,8 +37,10 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+@cache
 def catalan(n: int) -> int:
-    """n-th Catalan number binomial(2n, n) / (n + 1)."""
+    """n-th Catalan number binomial(2n, n) / (n + 1); cached, because every
+    closed-form Catalan-Fibonacci entry of a row asks for the same one."""
     if n < 0:
         raise ValueError(f"catalan: need n >= 0, got {n}")
     q, r = divmod(math.comb(2 * n, n), n + 1)

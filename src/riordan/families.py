@@ -16,7 +16,7 @@ from functools import cache
 
 from .exact import QQ, QY, QA, QAB, Polynomial, binomial, catalan
 from .series import PowerSeries, from_coeffs, x_series, generator_series
-from .triangles import RiordanPair, Triangle, build_exponential, build_ordinary
+from .triangles import RiordanPair, Triangle, build_exponential
 
 FAMILY_NAMES = (
     "fib",
@@ -81,6 +81,47 @@ def _tildetilde_entry(n: int, k: int) -> int:
     return tildetilde_coeff(n, k) if 2 * k <= n else 0
 
 
+def a011973_coeff(n: int, k: int) -> int:
+    """Entries binom(n-k, k) of the stretched pair (1/(1-x), x^2/(1-x))."""
+    _check_indices(n, k)
+    return binomial(n - k, k)
+
+
+def a111959_coeff(n: int, k: int) -> int:
+    """Entries 4^m binom(m + (k-1)/2, m) with n-k = 2m, zero when n-k is odd,
+    of the pair (1/sqrt(1-4x^2), x/sqrt(1-4x^2)).
+
+    The generalized binomial is 2^(-m) (k+1)(k+3)...(k+2m-1) / m!.
+    """
+    _check_indices(n, k)
+    if (n - k) % 2:
+        return 0
+    m = (n - k) // 2
+    return _exact_int_div(2**m * math.prod(range(k + 1, k + 2 * m, 2)), math.factorial(m))
+
+
+def i0_dual_coeff(n: int, k: int) -> int:
+    """Entries (-1)^(m+k) binom(n,k) binom(2m,m) with n-k = 2m, zero when n-k
+    is odd, of the exponential pair [J_0(2x), -x]."""
+    _check_indices(n, k)
+    if (n - k) % 2:
+        return 0
+    m = (n - k) // 2
+    return (-1) ** (m + k) * binomial(n, k) * binomial(2 * m, m)
+
+
+def cf_coeff(n: int, i: int) -> int:
+    """Catalan-Fibonacci coefficient C_n binom(n-i, i): the coefficient of
+    a^(n-2i) b^i in cf_coeffs(n)."""
+    _check_indices(n, i)
+    return catalan(n) * binomial(n - i, i)
+
+
+def _closed_form(entry):
+    """Builder of the triangle with entry(n, k) at row n, column k."""
+    return lambda rows: Triangle(QQ, [[entry(n, k) for k in range(n + 1)] for n in range(rows)])
+
+
 # Closed-form entry (n, k) of the coefficient triangle of each family; row
 # n - 1 holds the coefficients of the family's n-th polynomial.
 _FAMILY_ENTRIES = {
@@ -92,21 +133,12 @@ _FAMILY_ENTRIES = {
 
 
 @cache
-def _dual_cf_series(order: int) -> PowerSeries:
-    """x(sqrt(1 - 4yx^2) - x) over Q[y]."""
+def _cf_root(order: int) -> PowerSeries:
+    """sqrt(1 - 4yx^2) - x over Q[y], to at least 2 terms."""
     n = max(order, 2)
     x = x_series(QY, n)
     y = generator_series(QY, "y", n)
-    return (x * ((1 - 4 * y * x * x).sqrt() - x)).truncate(order)
-
-
-@cache
-def _reciprocal_series(order: int) -> PowerSeries:
-    """1/(sqrt(1 - 4yx^2) - x) over Q[y]."""
-    n = max(order, 2)
-    x = x_series(QY, n)
-    y = generator_series(QY, "y", n)
-    return (1 / ((1 - 4 * y * x * x).sqrt() - x)).truncate(order)
+    return (1 - 4 * y * x * x).sqrt() - x
 
 
 def family_poly(name: str, n: int) -> Polynomial:
@@ -116,9 +148,9 @@ def family_poly(name: str, n: int) -> Polynomial:
     if n < 0:
         raise ValueError(f"family index must be >= 0, got {n}")
     if name == "dual_cf":
-        return _dual_cf_series(n + 1)[n]
+        return dual_cf_sequence(n + 1)[n]
     if name == "reciprocal":
-        return _reciprocal_series(n + 1)[n]
+        return reciprocal_polys(n + 1)[n]
     if n == 0:
         return QY.zero()
     m = n - 1
@@ -161,12 +193,9 @@ def cf_coeffs(n: int) -> Polynomial:
     """C_n sum_i binom(n-i, i) a^(n-2i) b^i over Q[a][b]."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    cn = catalan(n)
-    b_coeffs = []
-    for i in range(n // 2 + 1):
-        mono = [QQ.zero()] * (n - 2 * i) + [QQ.from_int(cn * binomial(n - i, i))]
-        b_coeffs.append(QA.poly(mono))
-    return QAB.poly(b_coeffs)
+    return QAB.poly(
+        [QA.poly([0] * (n - 2 * i) + [cf_coeff(n, i)]) for i in range(n // 2 + 1)]
+    )
 
 
 @cache
@@ -177,37 +206,23 @@ def cf_matrix(b0: Fraction, n_rows: int) -> Triangle:
     if n_rows < 1:
         raise ValueError("need at least one row")
     b0 = QQ.coerce(b0)
-    rows = []
-    for n in range(n_rows):
-        row = [QQ.zero()] * (n + 1)
-        cn = catalan(n)
-        for i in range(n // 2 + 1):
-            row[n - 2 * i] = cn * binomial(n - i, i) * b0**i
-        rows.append(row)
-    return Triangle(QQ, rows)
+    zero = QQ.zero()
 
+    def entry(n, k):
+        i, odd = divmod(n - k, 2)
+        return zero if odd else cf_coeff(n, i) * b0**i
 
-@cache
-def cf_coeff_triangle(n_rows: int) -> Triangle:
-    """Coefficient array with entry (n,i) = C_n binom(n-i, i): row n lists the
-    b-coefficients of cf_coeffs(n) at a = 1."""
-    rows = []
-    for n in range(n_rows):
-        row = [catalan(n) * binomial(n - i, i) for i in range(n // 2 + 1)]
-        rows.append(row + [0] * (n + 1 - len(row)))
-    return Triangle(QQ, rows)
+    return _closed_form(entry)(n_rows)
 
 
 def dual_cf_sequence(n_terms: int) -> list[Polynomial]:
     """Coefficients of x(sqrt(1-4yx^2) - x) as polynomials in y, from x^0."""
-    s = _dual_cf_series(n_terms)
-    return list(s.coeffs[:n_terms])
+    return list(_cf_root(n_terms).mul_x().truncate(n_terms).coeffs)
 
 
 def reciprocal_polys(n_terms: int) -> list[Polynomial]:
     """Coefficients of 1/(sqrt(1-4yx^2) - x): 1, 1, 2y+1, 4y+1, ..."""
-    s = _reciprocal_series(n_terms)
-    return list(s.coeffs[:n_terms])
+    return list((1 / _cf_root(n_terms)).truncate(n_terms).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +284,24 @@ def pair_exp_j0(order: int) -> RiordanPair:
 
 # ---------------------------------------------------------------------------
 # The named triangles of the CLI: name -> builder taking the number of rows.
-# Every one is over Q with t_(0,0) = 1, so every one can be inverted.
-
-def _closed_form(entry):
-    return lambda rows: Triangle(QQ, [[entry(n, k) for k in range(n + 1)] for n in range(rows)])
-
+# Every one is over Q with t_(0,0) = 1, so every one can be inverted.  Each is
+# built from its closed-form entry; the pair_* builders above are the
+# independent route to the same numbers.
 
 TRIANGLES: dict[str, Callable[[int], Triangle]] = {
     "fib": _closed_form(fib_coeff),
     "dual-fib": _closed_form(dual_fib_coeff),
     "tilde": _closed_form(tilde_coeff),
     "tildetilde": _closed_form(_tildetilde_entry),
-    "a011973": lambda rows: build_ordinary(pair_a011973(rows), rows),
-    "a111959": lambda rows: build_ordinary(pair_a111959(rows), rows),
-    "i0-dual": lambda rows: build_exponential(pair_exp_j0(rows), rows),
-    "cf-coeff": cf_coeff_triangle,
+    "a011973": _closed_form(a011973_coeff),
+    "a111959": _closed_form(a111959_coeff),
+    "i0-dual": _closed_form(i0_dual_coeff),
+    "cf-coeff": _closed_form(cf_coeff),
 }
+
+# Entry (n,i) = C_n binom(n-i, i): row n lists the b-coefficients of
+# cf_coeffs(n) at a = 1.
+cf_coeff_triangle = TRIANGLES["cf-coeff"]
 
 
 # ---------------------------------------------------------------------------

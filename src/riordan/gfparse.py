@@ -302,22 +302,30 @@ def to_text(node: Node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def variables_used(node: Node) -> set[str]:
+def _var_nodes(node: Node) -> list[Var]:
+    """The variable occurrences, in source order."""
     if isinstance(node, Var):
-        return {node.name}
-    return set().union(*map(variables_used, _children(node)))
+        return [node]
+    return [v for child in _children(node) for v in _var_nodes(child)]
 
 
 def ring_for(node: Node):
-    """Smallest supported coefficient ring for the variables that occur."""
-    gens = variables_used(node) - {"x"}
+    """Smallest supported coefficient ring for the variables that occur.
+
+    Mixing y with a or b is an error at the first variable that mixes them."""
+    occurrences = _var_nodes(node)
+    gens = {v.name for v in occurrences} - {"x"}
     if not gens:
         return QQ
     if gens == {"y"}:
         return QY
     if gens <= {"a", "b"}:
         return QAB
-    raise GfEvalError(f"variables {sorted(gens)} do not fit one ring (y is exclusive of a, b)", -1)
+    pos = max(
+        next(v.pos for v in occurrences if v.name == "y"),
+        next(v.pos for v in occurrences if v.name in ("a", "b")),
+    )
+    raise GfEvalError(f"variables {sorted(gens)} do not fit one ring (y is exclusive of a, b)", pos)
 
 
 def eval_ast(node: Node, order: int, ring=None) -> PowerSeries:

@@ -1,4 +1,4 @@
-"""Hankel transforms via fraction-free Bareiss elimination, plus rational-GF matching.
+"""Hankel transforms via fraction-free Bareiss elimination.
 
 Every exact determinant goes through one routine.  Rational entries are first
 scaled by their least common denominator L, so the matrix is integral; the
@@ -18,29 +18,12 @@ computed on its own by ``determinant``, which swaps rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    """The (dim x dim) matrix with entry (i, j) = source[i + j]."""
-
-    source: tuple
-    dim: int
-
-    def __post_init__(self):
-        if len(self.source) < 2 * self.dim - 1:
-            raise ValueError(
-                f"need {2 * self.dim - 1} terms for dimension {self.dim}, "
-                f"got {len(self.source)}"
-            )
-
-    def entry(self, i: int, j: int):
-        return self.source[i + j]
-
-    def rows(self) -> list[list]:
-        return [[self.source[i + j] for j in range(self.dim)] for i in range(self.dim)]
+def _hankel_rows(seq: list, dim: int) -> list[list]:
+    """The (dim x dim) matrix with entry (i, j) = seq[i + j], as new lists."""
+    return [seq[i:i + dim] for i in range(dim)]
 
 
 def _scale_to_integers(values) -> tuple[list[int], int]:
@@ -119,16 +102,15 @@ def hankel_transform(seq, m_max: int) -> list:
             f"need {2 * m_max + 1} sequence terms for m_max={m_max}, got {len(seq)}"
         )
     scaled, lcd = _scale_to_integers(seq[:2 * m_max + 1])
-    scaled = tuple(scaled)
     dim = m_max + 1
-    m = HankelMatrix(scaled, dim).rows()
+    m = _hankel_rows(scaled, dim)
     h = []
     prev = 1
     for k in range(dim):
         pivot = m[k][k]
         if pivot == 0:
             h.append(0)
-            h += [determinant(HankelMatrix(scaled, j + 1).rows()) for j in range(k + 1, dim)]
+            h += [determinant(_hankel_rows(scaled, j + 1)) for j in range(k + 1, dim)]
             break
         h.append(pivot)
         _bareiss_step(m, k, prev)
@@ -136,47 +118,3 @@ def hankel_transform(seq, m_max: int) -> list:
     if lcd == 1:
         return h
     return [Fraction(v, lcd ** (k + 1)) for k, v in enumerate(h)]
-
-
-def expand_rational(num, den, n_terms: int) -> list[Fraction]:
-    """Power-series coefficients of num(x)/den(x) by the linear recurrence
-    c_n = (num_n - sum_{i>=1} den_i c_{n-i}) / den_0."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    if not den or den[0] == 0:
-        raise ValueError("denominator needs a nonzero constant term")
-    inv0 = 1 / den[0]
-    out: list[Fraction] = []
-    for n in range(n_terms):
-        acc = num[n] if n < len(num) else Fraction(0)
-        for i in range(1, min(n, len(den) - 1) + 1):
-            acc -= den[i] * out[n - i]
-        out.append(acc * inv0)
-    return out
-
-
-@dataclass(frozen=True)
-class GfMatchReport:
-    """Outcome of comparing a sequence against a rational generating function."""
-
-    n_checked: int
-    first_mismatch: int | None  # index, or None when all terms agree
-
-    @property
-    def ok(self) -> bool:
-        return self.first_mismatch is None
-
-    def __bool__(self):
-        return self.ok
-
-
-def match_rational_gf(seq, num, den, n_check: int) -> GfMatchReport:
-    """Expand num/den to n_check terms and report agreement with ``seq``."""
-    seq = list(seq)
-    if len(seq) < n_check:
-        raise ValueError(f"sequence has {len(seq)} terms, need {n_check}")
-    expansion = expand_rational(num, den, n_check)
-    for i in range(n_check):
-        if Fraction(seq[i]) != expansion[i]:
-            return GfMatchReport(n_checked=n_check, first_mismatch=i)
-    return GfMatchReport(n_checked=n_check, first_mismatch=None)

@@ -282,7 +282,7 @@ def _miller_power(ring, h_tail, a, p0, scale, n: int) -> list:
 
 def from_coeffs(ring, coeffs, order: int | None = None) -> PowerSeries:
     """Series from an explicit coefficient list, zero-padded to ``order``."""
-    coeffs = [ring.coerce(c) for c in coeffs]
+    coeffs = list(coeffs)
     if order is not None:
         if len(coeffs) > order:
             raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")

@@ -1,11 +1,16 @@
 """Command-line contract: specs, formats, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import known_values as kv
 from riordan.cli import main
+from riordan.families import TRIANGLES
+from riordan.gfparse import FUNCTIONS, VARIABLES
 
 
 def run_cli(capsys, *argv):
@@ -189,12 +194,36 @@ class TestSequenceCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "need rational terms" in err and "Traceback" not in err
 
+    def test_mixed_ring_error_names_the_mixing_variable(self, capsys):
+        code, out, err = run_cli(capsys, "sequence", "gf:y*a", "-n", "2")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: variables ['a', 'y'] do not fit one ring (y is exclusive of a, b) "
+            "(at offset 2)\n"
+        )
+
     def test_no_order_option(self, capsys):
         # the working order is the number of terms requested
         with pytest.raises(SystemExit) as exc:
             main(["sequence", "gf:1/(1-x)", "-n", "4", "--order", "8"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --order 8" in capsys.readouterr().err
+
+
+class TestSmallSizes:
+    @pytest.mark.parametrize("form", ["plain", "invert", "rowsums"])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(TRIANGLES))
+    def test_every_named_triangle(self, capsys, name, rows, form):
+        argv = {
+            "plain": ["triangle", name, "--rows", str(rows)],
+            "invert": ["triangle", name, "--rows", str(rows), "--invert"],
+            "rowsums": ["sequence", f"rowsums:{name}", "-n", str(rows)],
+        }[form]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        if rows == 1:
+            assert out == "1\n"
 
 
 class TestVerifyCommand:
@@ -236,3 +265,89 @@ class TestDeterminism:
         a = run_cli(capsys, "verify", "hankel")
         b = run_cli(capsys, "verify", "hankel")
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the argument grammar.  Sizes stay at most 8, exponents at most 5 and
+# expressions at most 3 deep, so that no drawn command runs unbounded work.
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str)
+values = st.one_of(rationals, st.sampled_from(["", "x", "1/0", "--1"]))
+
+
+@st.composite
+def gf_texts(draw, depth=3):
+    """Expressions over x, y, a, b with sqrt and rev, at most depth deep."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.one_of(st.sampled_from(VARIABLES), st.integers(0, 9).map(str)))
+    kind = draw(st.sampled_from(["binop", "binop", "call", "call", "pow", "neg"]))
+    inner = gf_texts(depth - 1)
+    if kind == "binop":
+        return f"({draw(inner)}{draw(st.sampled_from('+-*/'))}{draw(inner)})"
+    if kind == "pow":
+        return f"({draw(inner)})^{draw(st.integers(0, 5))}"
+    if kind == "call":
+        return f"{draw(st.sampled_from(FUNCTIONS))}({draw(inner)})"
+    return f"(-{draw(inner)})"
+
+
+@st.composite
+def gf_inputs(draw):
+    """A well-formed expression, or a prefix of one (a syntax error)."""
+    text = draw(gf_texts())
+    if draw(st.integers(0, 4)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+triangle_names = st.one_of(
+    st.sampled_from(list(TRIANGLES) + ["nope"]), values.map(lambda v: f"cf@{v}")
+)
+
+
+@st.composite
+def sequence_specs(draw, depth=2):
+    kind = draw(st.sampled_from(["dual-cf", "rowsums", "hankel", "gf", "junk"]))
+    if kind == "dual-cf":
+        return f"dual-cf@{draw(values)}"
+    if kind == "rowsums":
+        return f"rowsums:{draw(triangle_names)}"
+    if kind == "hankel" and depth > 0:
+        return f"hankel:{draw(sequence_specs(depth - 1))}"
+    if kind == "junk":
+        return draw(st.sampled_from(["", "fib@1", "hankel:", "rowsums:"]))
+    return f"gf:{draw(gf_inputs())}"
+
+
+sizes = st.integers(1, 8).map(str)
+formats = st.sampled_from(["table", "csv", "json", "bfile"])
+
+
+@st.composite
+def argvs(draw):
+    if draw(st.booleans()):
+        argv = ["sequence", draw(sequence_specs()), "-n", draw(sizes)]
+    else:
+        if draw(st.booleans()):
+            argv = ["triangle", draw(triangle_names)]
+        else:
+            argv = ["triangle", "--gf", draw(gf_inputs())]
+        argv += ["--rows", draw(sizes)]
+        if draw(st.booleans()):
+            argv.append("--invert")
+        if draw(st.booleans()):
+            argv += ["--eval-at", draw(values)]
+    return argv + ["--format", draw(formats)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_fuzzed_commands_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

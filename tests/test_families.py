@@ -20,13 +20,22 @@ from riordan.families import (
     dual_fib_polys_by_reversion,
     family_poly,
     fib_coeff,
+    pair_a011973,
+    pair_a111959,
+    pair_exp_j0,
     reciprocal_polys,
     tilde_coeff,
     tilde_poly_hypergeom,
     tildetilde_coeff,
 )
 from riordan.series import generator_series, x_series
-from riordan.triangles import invert_triangle, row_sums
+from riordan.triangles import (
+    build_exponential,
+    build_from_bgf,
+    build_ordinary,
+    invert_triangle,
+    row_sums,
+)
 
 
 class TestCoefficients:
@@ -131,6 +140,29 @@ class TestTriangleTable:
         T = TRIANGLES[triangle](12)
         for n in range(1, 13):
             assert family_poly(family, n).padded(n) == list(T.rows[n - 1]), n
+
+
+def cf_coeff_by_reversion(n_rows):
+    """Rows of Rev(x(sqrt(1-4yx^2) - x))/x, the series route to cf-coeff."""
+    x = x_series(QY, n_rows + 1)
+    y = generator_series(QY, "y", n_rows + 1)
+    return build_from_bgf((x * ((1 - 4 * y * x * x).sqrt() - x)).revert().div_x(), n_rows)
+
+
+INDEPENDENT_ROUTES = {
+    "a011973": lambda n: build_ordinary(pair_a011973(n), n),
+    "a111959": lambda n: build_ordinary(pair_a111959(n), n),
+    "i0-dual": lambda n: build_exponential(pair_exp_j0(n), n),
+    "cf-coeff": cf_coeff_by_reversion,
+}
+
+
+class TestClosedFormTriangles:
+    """Each closed-form table entry against a route that does not use it."""
+
+    @pytest.mark.parametrize("name", list(INDEPENDENT_ROUTES))
+    def test_equals_independent_route(self, name):
+        assert TRIANGLES[name](40) == INDEPENDENT_ROUTES[name](40)
 
 
 class TestHypergeometric:

@@ -111,6 +111,12 @@ class TestEvaluation:
         with pytest.raises(GfEvalError) as exc:
             eval_gf("x+y", 6, QQ)  # ring without the generator
         assert exc.value.position == 2
+        with pytest.raises(GfEvalError) as exc:
+            eval_gf("y*a", 6)  # a is the first variable that mixes the rings
+        assert exc.value.position == 2
+        with pytest.raises(GfEvalError) as exc:
+            eval_gf("a+sqrt(1-x*y)+b", 6)
+        assert exc.value.position == 11
 
     def test_agrees_with_hand_built_series(self):
         from riordan.series import generator_series, x_series
