@@ -6,84 +6,38 @@ families it produces, Hankel transforms, and brute-force lattice-path and
 tiling oracles that cross-check everything.
 """
 
-from .exact import (
-    QA,
-    QAB,
-    QQ,
-    QY,
-    ExactRational,
-    Polynomial,
-    PolynomialRing,
-    RationalField,
-    binomial,
-    catalan,
-    exact_sqrt,
-    fibonacci,
-    format_element,
-    jacobsthal,
-)
-from .gfparse import GfEvalError, ParseError, eval_ast, eval_gf, parse, to_text
-from .hankel import determinant, hankel_transform
-from .paths import PathClass, count_paths, count_tilings
-from .series import (
-    PowerSeries,
-    constant,
-    from_coeffs,
-    generator_series,
-    one,
-    x_series,
-)
-from .triangles import (
-    RiordanPair,
-    Triangle,
-    apply_series,
-    build_exponential,
-    build_from_bgf,
-    build_ordinary,
-    eval_rows,
-    invert_triangle,
-    row_sums,
-)
+import importlib
 
-__all__ = [
-    "QA",
-    "QAB",
-    "QQ",
-    "QY",
-    "ExactRational",
-    "Polynomial",
-    "PolynomialRing",
-    "RationalField",
-    "binomial",
-    "catalan",
-    "exact_sqrt",
-    "fibonacci",
-    "format_element",
-    "jacobsthal",
-    "GfEvalError",
-    "ParseError",
-    "eval_ast",
-    "eval_gf",
-    "parse",
-    "to_text",
-    "determinant",
-    "hankel_transform",
-    "PathClass",
-    "count_paths",
-    "count_tilings",
-    "PowerSeries",
-    "constant",
-    "from_coeffs",
-    "generator_series",
-    "one",
-    "x_series",
-    "RiordanPair",
-    "Triangle",
-    "apply_series",
-    "build_exponential",
-    "build_from_bgf",
-    "build_ordinary",
-    "eval_rows",
-    "invert_triangle",
-    "row_sums",
-]
+# Public name -> the submodule that defines it.  A name's submodule is
+# imported on first access (PEP 562), so ``import riordan`` loads none.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("QA", "QAB", "QQ", "QY", "ExactRational", "Polynomial", "PolynomialRing",
+         "RationalField", "binomial", "catalan", "exact_sqrt", "fibonacci",
+         "format_element", "jacobsthal"),
+        "exact",
+    ),
+    **dict.fromkeys(("GfEvalError", "ParseError", "eval_ast", "eval_gf", "parse", "to_text"),
+                    "gfparse"),
+    **dict.fromkeys(("determinant", "hankel_transform"), "hankel"),
+    **dict.fromkeys(("PathClass", "count_paths", "count_tilings"), "paths"),
+    **dict.fromkeys(("PowerSeries", "constant", "from_coeffs", "generator_series", "one",
+                     "x_series"), "series"),
+    **dict.fromkeys(("RiordanPair", "Triangle", "apply_series", "build_exponential",
+                     "build_from_bgf", "build_ordinary", "eval_rows", "invert_triangle",
+                     "row_sums"), "triangles"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -3,7 +3,9 @@
 Output is deterministic byte-for-byte for fixed inputs.  Exact values render
 as decimal integers or "p/q"; polynomial entries use the same compact form as
 the library.  Exit status is 0 only when every requested computation or
-check succeeds.
+check succeeds.  Each command imports only the layers it runs: the
+expression parser, Hankel transform and verify suites load inside the
+branches that use them.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import families, verify
+from . import families
 from .exact import format_element
-from .gfparse import GfEvalError, ParseError, eval_gf
-from .hankel import hankel_transform
 from .triangles import Triangle, build_from_bgf, eval_rows, invert_triangle, row_sums
 
 TRIANGLE_HELP = f"{', '.join(families.TRIANGLES)}, cf@<rational>"
@@ -40,6 +40,8 @@ def resolve_triangle(spec: str | None, gf: str | None, rows: int) -> Triangle:
     if rows < 1:
         raise CliError("--rows must be >= 1")
     if gf is not None:
+        from .gfparse import eval_gf
+
         return build_from_bgf(eval_gf(gf, rows), rows)
     if spec.startswith("cf@"):
         return families.cf_matrix(_parse_rational(spec[3:], "cf@ value"), rows)
@@ -59,9 +61,13 @@ def resolve_sequence(spec: str, n_terms: int) -> list:
         T = resolve_triangle(spec[len("rowsums:"):], None, n_terms)
         return row_sums(T)
     if spec.startswith("hankel:"):
+        from .hankel import hankel_transform
+
         source = resolve_sequence(spec[len("hankel:"):], 2 * n_terms - 1)
         return hankel_transform(source, n_terms - 1)
     if spec.startswith("gf:"):
+        from .gfparse import eval_gf
+
         return list(eval_gf(spec[len("gf:"):], n_terms).coeffs)
     raise CliError(
         f"unknown sequence {spec!r}; forms: dual-cf@<rational>, rowsums:<triangle>, "
@@ -115,6 +121,19 @@ def render_reports(reports) -> tuple[str, bool]:
     return "\n".join(lines), failures == 0
 
 
+def _suite_name(text: str) -> str:
+    """The ``verify`` argument: a suite name or ``all``.  argparse calls this
+    only for the ``verify`` command, so no other command imports ``verify``."""
+    from . import verify
+
+    names = verify.SUITE_NAMES + ("all",)
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})"
+        )
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riordan",
@@ -145,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--offset", type=int, default=0, help="b-file start index (default 0)")
 
     p_ver = sub.add_parser("verify", help="run identity-verification suites")
-    p_ver.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
+    p_ver.add_argument(
+        "suite", type=_suite_name, help="a suite name, or all; an unknown name lists them"
+    )
     return parser
 
 
@@ -166,10 +187,12 @@ def main(argv=None) -> int:
             values = resolve_sequence(args.spec, args.terms)
             print(render_sequence(values, args.format, args.offset))
             return 0
+        from . import verify
+
         text, ok = render_reports(verify.run(args.suite))
         print(text)
         return 0 if ok else 1
-    except (CliError, ParseError, GfEvalError, ValueError, ZeroDivisionError, TypeError) as exc:
+    except (CliError, ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,9 +26,9 @@ raises ParseError at the offset where the limit is passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._value import Value
 from .exact import QQ, QY, QAB
 from .series import PowerSeries, constant, x_series, generator_series
 
@@ -59,54 +59,55 @@ class GfEvalError(ValueError):
 # --- AST -------------------------------------------------------------------
 # ``pos`` is the source offset; it never participates in equality.
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-    pos: int = field(default=-1, compare=False)
+class IntLit(Value):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: int, pos: int = -1):
+        super().__init__(value, pos)
 
 
-@dataclass(frozen=True)
-class RatLit:
-    value: Fraction
-    pos: int = field(default=-1, compare=False)
+class RatLit(Value):
+    __slots__ = ("value", "pos")
 
-    def __post_init__(self):
-        if self.value.denominator == 1:
+    def __init__(self, value: Fraction, pos: int = -1):
+        if value.denominator == 1:
             raise ValueError("integral RatLit; use IntLit")
+        super().__init__(value, pos)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: int = field(default=-1, compare=False)
+class Var(Value):
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: int = -1):
+        super().__init__(name, pos)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-    pos: int = field(default=-1, compare=False)
+class Neg(Value):
+    __slots__ = ("operand", "pos")
+
+    def __init__(self, operand: Node, pos: int = -1):
+        super().__init__(operand, pos)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * /
-    left: "Node"
-    right: "Node"
-    pos: int = field(default=-1, compare=False)
+class BinOp(Value):
+    __slots__ = ("op", "left", "right", "pos")
+
+    def __init__(self, op: str, left: Node, right: Node, pos: int = -1):  # op: + - * /
+        super().__init__(op, left, right, pos)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-    pos: int = field(default=-1, compare=False)
+class Pow(Value):
+    __slots__ = ("base", "exponent", "pos")
+
+    def __init__(self, base: Node, exponent: int, pos: int = -1):
+        super().__init__(base, exponent, pos)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str  # sqrt | rev
-    arg: "Node"
-    pos: int = field(default=-1, compare=False)
+class Call(Value):
+    __slots__ = ("func", "arg", "pos")
+
+    def __init__(self, func: str, arg: Node, pos: int = -1):  # func: sqrt | rev
+        super().__init__(func, arg, pos)
 
 
 Node = IntLit | RatLit | Var | Neg | BinOp | Pow | Call
@@ -114,11 +115,11 @@ Node = IntLit | RatLit | Var | Neg | BinOp | Pow | Call
 
 # --- Lexer -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # int, name, op, end
-    text: str
-    pos: int
+class _Token(Value):
+    __slots__ = ("kind", "text", "pos")  # kind: int, name, op, end
+
+    def __init__(self, kind: str, text: str, pos: int):
+        super().__init__(kind, text, pos)
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -18,7 +18,7 @@ millisecond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._value import Value
 
 VARIANTS = ("motzkin", "grand_motzkin")
 STATISTICS = ("level_steps", "up_steps", "up_plus_level_steps")
@@ -27,16 +27,15 @@ MAX_PATH_LENGTH = 16
 MAX_BOARD_LENGTH = 20
 
 
-@dataclass(frozen=True)
-class PathClass:
-    variant: str
-    statistic: str
+class PathClass(Value):
+    __slots__ = ("variant", "statistic")
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
+    def __init__(self, variant: str, statistic: str):
+        if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.statistic not in STATISTICS:
+        if statistic not in STATISTICS:
             raise ValueError(f"statistic must be one of {STATISTICS}")
+        super().__init__(variant, statistic)
 
 
 def _step_weights(statistic: str) -> tuple[int, int, int]:

@@ -8,10 +8,10 @@ values are ground truth throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import families, paths
+from ._value import Value
 from .exact import QQ, QAB, binomial, catalan, fibonacci, jacobsthal
 from .hankel import hankel_transform
 from .series import from_coeffs, generator_series, x_series
@@ -22,21 +22,20 @@ from .triangles import (
     row_sums,
 )
 
-SUITE_NAMES = ("duality", "lagrange", "hankel", "paths", "fundamental", "involution")
+
+class Check(Value):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        super().__init__(name, ok, detail)
 
 
-@dataclass
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+class SuiteReport(Value):
+    __slots__ = ("suite", "checks", "notes")
 
-
-@dataclass
-class SuiteReport:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, suite: str, checks: list[Check] | None = None,
+                 notes: list[str] | None = None):
+        super().__init__(suite, [] if checks is None else checks, [] if notes is None else notes)
 
     @property
     def ok(self) -> bool:
@@ -348,6 +347,7 @@ _SUITES = {
     "fundamental": fundamental_suite,
     "involution": involution_suite,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run(suite: str) -> list[SuiteReport]:

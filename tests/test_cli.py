@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +15,7 @@ import known_values as kv
 from riordan.cli import main
 from riordan.families import TRIANGLES
 from riordan.gfparse import FUNCTIONS, VARIABLES
+from riordan.verify import SUITE_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -241,9 +246,12 @@ class TestVerifyCommand:
         assert "2F1" in out  # hypergeometric sign note
 
     def test_unknown_suite_rejected(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "nope"])
-        capsys.readouterr()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err
+        assert all(repr(name) in err for name in SUITE_NAMES + ("all",))
 
     def test_failing_check_sets_exit_code(self, capsys, monkeypatch):
         from riordan import verify
@@ -265,6 +273,47 @@ class TestDeterminism:
         a = run_cli(capsys, "verify", "hankel")
         b = run_cli(capsys, "verify", "hankel")
         assert a == b
+
+
+class TestImports:
+    """Each command imports only the layers it runs; checked in a fresh
+    interpreter, since this process has imported everything."""
+
+    HEAVY = {"riordan.gfparse", "riordan.hankel", "riordan.paths", "riordan.verify",
+             "dataclasses"}
+
+    @staticmethod
+    def loaded_after(statement):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        script = (
+            "import json, sys\n"
+            f"{statement}\n"
+            "print(json.dumps([m for m in sys.modules"
+            " if m.startswith('riordan') or m == 'dataclasses']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    def cli_loads(self, *argv):
+        return self.loaded_after(f"import riordan.cli; riordan.cli.main({list(argv)!r})")
+
+    def test_package_import_loads_no_submodule(self):
+        assert self.loaded_after("import riordan") == {"riordan"}
+
+    @pytest.mark.parametrize("argv", [
+        ("triangle", "fib", "--rows", "3"),
+        ("sequence", "dual-cf@1", "-n", "3"),
+    ])
+    def test_named_objects_skip_parser_hankel_paths_verify(self, argv):
+        assert not self.cli_loads(*argv) & self.HEAVY
+
+    def test_gf_loads_only_the_parser(self):
+        loaded = self.cli_loads("sequence", "gf:1/(1-x)", "-n", "3")
+        assert "riordan.gfparse" in loaded
+        assert not loaded & {"riordan.verify", "dataclasses"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Expression language: grammar, printing round trip, error offsets."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -65,6 +67,38 @@ class TestParsing:
         assert eval_gf(calls, 3).coeffs == (1, 0, 0)
         chain = "+".join(["x"] * MAX_DEPTH)  # MAX_DEPTH - 1 operators
         assert eval_gf(chain, 3).coeffs == (0, MAX_DEPTH, 0)
+
+
+class TestNodes:
+    def test_equality_ignores_position(self):
+        assert Var("x", pos=0) == Var("x", pos=5)
+        assert hash(Var("x", pos=0)) == hash(Var("x", pos=5))
+        assert len({parse("x+1"), parse(" x + 1"), BinOp("+", Var("x"), IntLit(1))}) == 1
+        assert Var("x") != Var("y")
+
+    def test_equality_is_type_exact(self):
+        assert IntLit(2) != Var(2)
+        assert Neg(IntLit(1)) != Call("sqrt", IntLit(1))
+
+    def test_immutable(self):
+        node = parse("x^2")
+        with pytest.raises(AttributeError):
+            node.exponent = 3
+        with pytest.raises(AttributeError):
+            del node.base
+        assert node == Pow(Var("x"), 2)
+
+    def test_copies_keep_every_field(self):
+        node = parse("1/2 - sqrt(x)")
+        for twin in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert twin == node and twin.pos == node.pos and twin.right.pos == node.right.pos
+
+    def test_integral_rational_literal_refused(self):
+        with pytest.raises(ValueError):
+            RatLit(Fraction(2))
+
+    def test_repr_names_every_field(self):
+        assert repr(parse("-y")) == "Neg(operand=Var(name='y', pos=1), pos=0)"
 
 
 class TestEvaluation:

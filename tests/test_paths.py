@@ -125,6 +125,13 @@ class TestBounds:
         with pytest.raises(ValueError):
             PathClass("motzkin", "down_steps")
 
+    def test_class_is_an_immutable_value(self):
+        cls = PathClass("motzkin", "up_steps")
+        assert cls == PathClass("motzkin", "up_steps") != PathClass("motzkin", "level_steps")
+        assert len({cls, PathClass("motzkin", "up_steps")}) == 1
+        with pytest.raises(AttributeError):
+            cls.variant = "grand_motzkin"
+
     def test_negative_statistic(self):
         with pytest.raises(ValueError):
             count_paths(PathClass("motzkin", "level_steps"), 4, -1)
