@@ -4,14 +4,13 @@ Output is deterministic byte-for-byte for fixed inputs.  Exact values render
 as decimal integers or "p/q"; polynomial entries use the same compact form as
 the library.  Exit status is 0 only when every requested computation or
 check succeeds.  Each command imports only the layers it runs: the
-expression parser, Hankel transform and verify suites load inside the
-branches that use them.
+expression parser, Hankel transform, verify suites and ``json`` load inside
+the branches that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -96,6 +95,8 @@ def render_sequence(values: list, fmt: str, offset: int) -> str:
     if fmt == "csv":
         return ",".join(cells)
     if fmt == "json":
+        import json
+
         return json.dumps(cells)
     if fmt == "bfile":
         return "\n".join(f"{offset + i} {cell}" for i, cell in enumerate(cells))

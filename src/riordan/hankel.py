@@ -10,20 +10,17 @@ elimination", Math. Comp. 1968).
 By Sylvester's identity, with no row swaps the pivot at step k is the leading
 principal minor of order k+1.  So one elimination of the largest Hankel matrix
 yields the whole transform h_0 .. h_m; on rationals it runs on the scaled
-matrix, whose minors are L^(k+1) h_k.  A zero pivot h_k stops that pass; each
-later minor can still be nonzero (for 0, 1, 0, 0, 0: h_0 = 0, h_1 = -1) and is
-computed on its own by ``determinant``, which swaps rows.
+matrix, whose minors are L^(k+1) h_k.  A Hankel matrix is symmetric, and
+without row swaps so is every trailing block, so that pass stores and updates
+only the upper triangle.  A zero pivot h_k stops it; each later minor can still
+be nonzero (for 0, 1, 0, 0, 0: h_0 = 0, h_1 = -1).  Minor j is then continued
+from the eliminated block k..j, with row swaps, from the last nonzero pivot.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-def _hankel_rows(seq: list, dim: int) -> list[list]:
-    """The (dim x dim) matrix with entry (i, j) = seq[i + j], as new lists."""
-    return [seq[i:i + dim] for i in range(dim)]
 
 
 def _scale_to_integers(values) -> tuple[list[int], int]:
@@ -42,24 +39,15 @@ def _scale_to_integers(values) -> tuple[list[int], int]:
     return [q.numerator * (lcd // q.denominator) for q in qs], lcd
 
 
-def _bareiss_step(m: list[list[int]], k: int, prev: int) -> None:
-    """Eliminate below pivot m[k][k]; prev is the previous pivot, 1 at k = 0.
+def _det_bareiss(m: list[list[int]], prev: int = 1) -> int:
+    """Integer determinant by Bareiss elimination with row swaps, in place.
 
-    Every division is exact, and afterwards m[k+1][k+1] is the minor of
-    rows and columns 0..k+1 (of the row-permuted matrix, if rows were swapped).
+    Every division is exact.  Started from prev, the last pivot of an earlier
+    pass, on a trailing block that pass left, it returns the determinant of
+    the whole matrix that pass eliminated.
     """
-    top = m[k][k + 1:]
-    pivot = m[k][k]
-    for row in m[k + 1:]:
-        a = row[k]
-        row[k + 1:] = [(x * pivot - a * t) // prev for x, t in zip(row[k + 1:], top)]
-
-
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Integer determinant by Bareiss elimination with row swaps, in place."""
     n = len(m)
     sign = 1
-    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for r in range(k + 1, n):
@@ -69,8 +57,11 @@ def _det_bareiss(m: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        _bareiss_step(m, k, prev)
-        prev = m[k][k]
+        pivot, top = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            a = row[k]
+            row[k + 1:] = [(x * pivot - a * t) // prev for x, t in zip(row[k + 1:], top)]
+        prev = pivot
     return sign * m[-1][-1]
 
 
@@ -103,17 +94,23 @@ def hankel_transform(seq, m_max: int) -> list:
         )
     scaled, lcd = _scale_to_integers(seq[:2 * m_max + 1])
     dim = m_max + 1
-    m = _hankel_rows(scaled, dim)
+    # row i keeps columns i .. m_max: u[i][j - i] is entry (i, j) and also (j, i)
+    u = [scaled[2 * i:i + dim] for i in range(dim)]
     h = []
     prev = 1
     for k in range(dim):
-        pivot = m[k][k]
+        top = u[k]
+        pivot = top[0]
         if pivot == 0:
+            block = [[u[min(r, c)][abs(c - r)] for c in range(k, dim)] for r in range(k, dim)]
             h.append(0)
-            h += [determinant(_hankel_rows(scaled, j + 1)) for j in range(k + 1, dim)]
+            h += [_det_bareiss([row[:n] for row in block[:n]], prev)
+                  for n in range(2, dim - k + 1)]
             break
         h.append(pivot)
-        _bareiss_step(m, k, prev)
+        for i in range(k + 1, dim):
+            a = top[i - k]
+            u[i] = [(x * pivot - a * t) // prev for x, t in zip(u[i], top[i - k:])]
         prev = pivot
     if lcd == 1:
         return h

@@ -8,7 +8,6 @@ x times the row-polynomial generating function and re-expanding the rows.
 
 from __future__ import annotations
 
-import json
 import math
 
 from .exact import QQ, PolynomialRing, Polynomial, format_element
@@ -64,6 +63,8 @@ class Triangle:
 
     def to_json(self) -> str:
         """JSON array of arrays of exact decimal strings."""
+        import json
+
         return json.dumps([[format_element(e) for e in row] for row in self.rows])
 
     def __str__(self):

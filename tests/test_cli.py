@@ -1,5 +1,6 @@
 """Command-line contract: specs, formats, exit codes, determinism."""
 
+import ast
 import io
 import json
 import os
@@ -287,15 +288,16 @@ class TestImports:
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        # repr, not json: the probe must not load a module it reports on
         script = (
-            "import json, sys\n"
+            "import sys\n"
             f"{statement}\n"
-            "print(json.dumps([m for m in sys.modules"
-            " if m.startswith('riordan') or m == 'dataclasses']))\n"
+            "print(repr([m for m in sys.modules"
+            " if m.startswith('riordan') or m in ('dataclasses', 'json')]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, check=True)
-        return set(json.loads(proc.stdout.splitlines()[-1]))
+        return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
     def cli_loads(self, *argv):
         return self.loaded_after(f"import riordan.cli; riordan.cli.main({list(argv)!r})")
@@ -309,6 +311,14 @@ class TestImports:
     ])
     def test_named_objects_skip_parser_hankel_paths_verify(self, argv):
         assert not self.cli_loads(*argv) & self.HEAVY
+
+    @pytest.mark.parametrize("argv", [
+        ("triangle", "fib", "--rows", "3"),
+        ("sequence", "dual-cf@1", "-n", "3"),
+    ])
+    def test_json_loads_only_for_json_output(self, argv):
+        assert "json" not in self.cli_loads(*argv)
+        assert "json" in self.cli_loads(*argv, "--format", "json")
 
     def test_gf_loads_only_the_parser(self):
         loaded = self.cli_loads("sequence", "gf:1/(1-x)", "-n", "3")

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import known_values as kv
+from riordan import hankel
 from riordan.exact import QQ, binomial
-from riordan.families import dual_cf_sequence
+from riordan.families import cf_matrix, dual_cf_sequence
 from riordan.hankel import determinant, hankel_transform
 from riordan.series import from_coeffs
+from riordan.triangles import row_sums
 from riordan.verify import SuiteReport, _compare_sequences
 
 
@@ -32,6 +34,13 @@ def oracle_cofactor_det(m):
 
 def dual_values(y0, n_terms):
     return [p(Fraction(y0)) for p in dual_cf_sequence(n_terms + 1)[1:]]
+
+
+def fibonacci(n_terms):
+    fib = [1, 1]
+    while len(fib) < n_terms:
+        fib.append(fib[-1] + fib[-2])
+    return fib[:n_terms]
 
 
 class TestHankelTransform:
@@ -116,13 +125,45 @@ class TestOnePassTransform:
                 oracle_cofactor_det(hankel_rows(seq, k + 1)) for k in range(m + 1)
             ]
 
+    # inputs of the benchmark's hankel workload, past the sizes the property draws
+    SOURCES_AT_M_20 = {
+        "rowsums:cf@2": lambda n: row_sums(cf_matrix(Fraction(2), n)),
+        "dual-cf@1/2": lambda n: dual_values(Fraction(1, 2), n),
+        "fibonacci": fibonacci,
+    }
+
+    @pytest.mark.parametrize("name", SOURCES_AT_M_20)
+    def test_equals_minor_by_minor_at_m_20(self, name):
+        seq = self.SOURCES_AT_M_20[name](41)
+        assert hankel_transform(seq, 20) == [
+            determinant(hankel_rows(seq, k + 1)) for k in range(21)
+        ]
+
     def test_fibonacci_minors_vanish_from_h2(self):
-        fib = [1, 1]
-        while len(fib) < 21:
-            fib.append(fib[-1] + fib[-2])
-        assert hankel_transform(fib, 10) == [1, 1] + [0] * 9
+        assert hankel_transform(fibonacci(21), 10) == [1, 1] + [0] * 9
 
     def test_zero_pivot_then_nonzero_minor(self):
+        assert hankel_transform([0, 1, 0, 0, 0], 2) == [0, -1, 0]
+
+    # late zero pivots with nonzero minors after them; checked against
+    # sympy's Berkowitz determinant
+    LATE_ZERO_PIVOTS = [
+        ([1, 0, 1, 1, 2, 2, -1, 0, 0], [1, 1, 0, -1, 98]),
+        ([2, 0, -2, -2, 0, 0, 1, 1, 1], [2, -4, 0, 16, 28]),
+    ]
+
+    @pytest.mark.parametrize("seq, expected", LATE_ZERO_PIVOTS)
+    def test_late_zero_pivot_then_nonzero_minors(self, seq, expected):
+        assert hankel_transform(seq, 4) == expected
+
+    def test_zero_pivot_continues_without_determinant(self, monkeypatch):
+        def no_determinant(rows):
+            raise AssertionError("the transform must not rebuild minors")
+
+        monkeypatch.setattr(hankel, "determinant", no_determinant)
+        for seq, expected in self.LATE_ZERO_PIVOTS:
+            assert hankel_transform(seq, 4) == expected
+        assert hankel_transform(fibonacci(21), 10) == [1, 1] + [0] * 9
         assert hankel_transform([0, 1, 0, 0, 0], 2) == [0, -1, 0]
 
     @given(hankel_sources(max_m=4))
