@@ -1,14 +1,29 @@
-"""The private base of the package's small immutable records."""
+"""The package's one immutable-value base.
+
+Every value type derives from ``Value``: the ring descriptors, polynomials,
+series, triangles, Riordan pairs, the ``gfparse`` nodes, path classes and
+``verify`` records.
+"""
 
 from __future__ import annotations
 
 
+def _restore(cls, values):
+    """Rebuild a ``cls`` from its slot values without running its constructor."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class Value:
-    """An immutable record whose fields are its ``__slots__``.
+    """An immutable value whose fields are its ``__slots__``.
 
     Equality is type-exact and compares every field except ``pos``, a source
-    offset; hashing agrees with it.  Subclasses take their fields in slot
-    order and pass them on to ``Value.__init__``.
+    offset; hashing agrees with it.  Copies and pickles rebuild the stored
+    fields without calling the constructor, so they work whatever its
+    signature.  Subclasses take their fields in slot order and pass them on
+    to ``Value.__init__``, or set them with ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -23,13 +38,15 @@ class Value:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __reduce__(self):  # copy and pickle through the constructor
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+    def __reduce__(self):
+        return _restore, (type(self), tuple(getattr(self, name) for name in self.__slots__))
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__ if name != "pos")
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._key() == other._key()

@@ -15,9 +15,10 @@ realized as polynomials in b whose coefficients are polynomials in a.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import cache
+
+from ._value import Value
 
 # Base scalar type.  Always normalized: gcd(num, den) == 1 and den > 0.
 ExactRational = Fraction
@@ -83,9 +84,10 @@ def exact_sqrt(q: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-class RationalField:
+class RationalField(Value):
     """Descriptor for Q, the base coefficient field."""
 
+    __slots__ = ()
     var = None
 
     def zero(self) -> Fraction:
@@ -118,23 +120,17 @@ class RationalField:
     def __repr__(self):
         return "Q"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
 
-    def __hash__(self):
-        return hash("Q")
-
-
-class PolynomialRing:
+class PolynomialRing(Value):
     """Descriptor for base[var], dense univariate polynomials over ``base``."""
+
+    __slots__ = ("base", "var", "over_q")
 
     def __init__(self, base, var: str):
         if var not in POLY_VARS:
             raise ValueError(f"polynomial variable must be one of {POLY_VARS}")
-        self.base = base
-        self.var = var
         # Over Q, polynomials store integer numerators over one denominator.
-        self.over_q = isinstance(base, RationalField)
+        super().__init__(base, var, isinstance(base, RationalField))
 
     def poly(self, coeffs) -> "Polynomial":
         """Polynomial from an ascending coefficient list (index = degree)."""
@@ -186,18 +182,8 @@ class PolynomialRing:
     def __repr__(self):
         return f"{self.base!r}[{self.var}]"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolynomialRing)
-            and self.var == other.var
-            and self.base == other.base
-        )
 
-    def __hash__(self):
-        return hash((self.var, self.base))
-
-
-class Polynomial:
+class Polynomial(Value):
     """Dense univariate polynomial over a coefficient ring.  Immutable.
 
     ``_c`` holds the ascending stored coefficients and ``_den`` a positive
@@ -222,15 +208,10 @@ class Polynomial:
             den = math.lcm(*[c.denominator for c in coeffs])
             stored, den = _reduced([c.numerator * (den // c.denominator) for c in coeffs], den)
         else:
-            while coeffs and ring.base.is_zero(coeffs[-1]):
-                coeffs.pop()
-            stored, den = tuple(coeffs), 1
+            stored, den = _reduced(coeffs, 1)
         _set(self, "ring", ring)
         _set(self, "_c", stored)
         _set(self, "_den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @property
     def coeffs(self) -> tuple:
@@ -283,9 +264,7 @@ class Polynomial:
         return hash((self.ring.var, self._c, self._den))
 
     def __neg__(self):
-        if self.ring.over_q:
-            return _make(self.ring, tuple([-c for c in self._c]), self._den)
-        return Polynomial(self.ring, [-c for c in self._c])
+        return _make(self.ring, tuple([-c for c in self._c]), self._den)
 
     def __add__(self, other):
         try:
@@ -298,13 +277,6 @@ class Polynomial:
             return self
         if not a:
             return other
-        if not ring.over_q:
-            if len(a) < len(b):
-                a, b = b, a
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] = out[i] + c
-            return Polynomial(ring, out)
         den, other_den = self._den, other._den
         if den != other_den:
             g = math.gcd(den, other_den)
@@ -344,23 +316,17 @@ class Polynomial:
             return ring.zero()
         if len(a) < len(b):
             a, b = b, a
-        if ring.over_q:
-            den = self._den * other._den
-            if len(b) == 1:  # a scalar or a constant
-                return _make(ring, *_reduced([c * b[0] for c in a], den))
-            is_zero, zero = operator.not_, 0
-        else:
-            is_zero, zero = ring.base.is_zero, ring.base.zero()
-        out = [zero] * (len(a) + len(b) - 1)
-        b = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+        den = self._den * other._den
+        if ring.over_q and len(b) == 1:  # a scalar or a constant
+            return _make(ring, *_reduced([c * b[0] for c in a], den))
+        out = [0 if ring.over_q else ring.base.zero()] * (len(a) + len(b) - 1)
+        b = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
-            if is_zero(x):
+            if not x:
                 continue
             for j, y in b:
                 out[i + j] = out[i + j] + x * y
-        if ring.over_q:
-            return _make(ring, *_reduced(out, den))
-        return Polynomial(ring, out)
+        return _make(ring, *_reduced(out, den))
 
     __rmul__ = __mul__
 
@@ -403,9 +369,8 @@ class Polynomial:
 
     def shift_down(self, k: int) -> "Polynomial":
         """Exact division by var^k; raises unless divisible."""
-        is_zero = operator.not_ if self.ring.over_q else self.ring.base.is_zero
         for c in self._c[:k]:
-            if not is_zero(c):
+            if c:
                 raise ValueError(f"{self} is not divisible by {self.ring.var}^{k}")
         # dropping zeros keeps the content, so the result stays canonical
         return _make(self.ring, self._c[k:], self._den if len(self._c) > k else 1)
@@ -430,9 +395,9 @@ def _make(ring: PolynomialRing, c: tuple, den: int) -> Polynomial:
 
 
 def _reduced(nums: list, den: int) -> tuple[tuple, int]:
-    """Canonical stored form of sum_k (nums[k] / den) var^k over Q, den > 0:
-    trailing zeros dropped and the common factor of numerators and
-    denominator divided out."""
+    """Canonical stored form of sum_k (nums[k] / den) var^k, den > 0:
+    trailing zeros dropped and, over Q, the common factor of numerators and
+    denominator divided out (over any other base ``den`` is 1)."""
     while nums and not nums[-1]:
         nums.pop()
     if not nums:

@@ -13,18 +13,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import PolynomialRing
+from ._value import Value
+from .exact import PolynomialRing, _format_coefficient
 
 
-class PowerSeries:
+class PowerSeries(Value):
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", tuple(ring.coerce(c) for c in coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerSeries is immutable")
 
     @property
     def order(self) -> int:
@@ -48,14 +46,6 @@ class PowerSeries:
                 raise TypeError(f"mixed series rings {self.ring!r} and {other.ring!r}")
             return other
         return None  # scalar
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
 
     def __neg__(self):
         return PowerSeries(self.ring, [-c for c in self.coeffs])
@@ -231,14 +221,12 @@ class PowerSeries:
         return PowerSeries(ring, u)
 
     def __str__(self):
-        from .exact import format_element
-
         parts = []
         for n, c in enumerate(self.coeffs):
             if self.ring.is_zero(c):
                 continue
-            s = format_element(c)
-            if ("+" in s[1:]) or ("-" in s[1:]):
+            s, parens = _format_coefficient(c)
+            if parens:
                 s = f"({s})"
             term = s if n == 0 else (f"{s}*x" if n == 1 else f"{s}*x^{n}")
             parts.append(term)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 
-from .exact import QQ, PolynomialRing, Polynomial, format_element
+from ._value import Value
+from .exact import QQ, QY, PolynomialRing, Polynomial, format_element
 from .series import PowerSeries, from_coeffs
 
 RIORDAN_KINDS = ("ordinary", "exponential", "stretched")
 
 
-class Triangle:
+class Triangle(Value):
     """Immutable lower-triangular array; row n holds entries t_{n,0} .. t_{n,n}."""
 
     __slots__ = ("ring", "rows")
@@ -28,11 +29,7 @@ class Triangle:
             if len(row) != n + 1:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
             coerced.append(tuple(row))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", tuple(coerced))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Triangle is immutable")
+        super().__init__(ring, tuple(coerced))
 
     @property
     def n_rows(self) -> int:
@@ -41,16 +38,10 @@ class Triangle:
     def entry(self, n: int, k: int):
         return self.rows[n][k]
 
-    def __eq__(self, other):
-        if not isinstance(other, Triangle):
-            return NotImplemented
-        return self.ring == other.ring and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.ring, self.rows))
-
     def row_polynomial_ring(self) -> PolynomialRing:
-        return PolynomialRing(self.ring, "y")
+        """Q[y] over Q is the shared ``QY``, so row polynomials and the series
+        built from them meet their ring by identity."""
+        return QY if self.ring == QQ else PolynomialRing(self.ring, "y")
 
     def row_polynomials(self) -> list[Polynomial]:
         """Row n as the polynomial sum_k t_{n,k} y^k."""
@@ -74,7 +65,7 @@ class Triangle:
         return f"<Triangle over {self.ring!r}, {self.n_rows} rows>"
 
 
-class RiordanPair:
+class RiordanPair(Value):
     """A pair (d(x), h(x)) with d(0) != 0 and h(0) = 0.
 
     ``ordinary`` and ``exponential`` kinds additionally require h'(0) != 0;
@@ -99,12 +90,7 @@ class RiordanPair:
         else:
             if h.order < 2 or ring.is_zero(h.coeffs[1]):
                 raise ValueError(f"{kind} pair needs h'(0) != 0")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RiordanPair is immutable")
+        super().__init__(d, h, kind)
 
     @property
     def ring(self):

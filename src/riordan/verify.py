@@ -163,16 +163,13 @@ def lagrange_suite() -> SuiteReport:
     ):
         revq = fq.revert()
         x_over_f = 1 / fq.div_x()
-        ok = True
-        detail = f"n = 0..{n_max}"
-        for n in range(n_max + 1):
-            lhs = revq[n + 1]
-            rhs = (x_over_f ** (n + 1))[n] / Fraction(n + 1)
-            if lhs != rhs:
-                ok = False
-                detail = f"mismatch at n={n}: {lhs} != {rhs}"
-                break
-        report.add(f"coefficient extraction for {label}", ok, detail)
+        _compare_sequences(
+            f"coefficient extraction for {label}",
+            [revq[n + 1] for n in range(n_max + 1)],
+            [(x_over_f ** (n + 1))[n] / Fraction(n + 1) for n in range(n_max + 1)],
+            report,
+            detail_on_pass=f"n = 0..{n_max}",
+        )
     return report
 
 

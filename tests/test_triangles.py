@@ -260,6 +260,9 @@ class TestTriangleType:
         T = Triangle(QQ, [[big]])
         assert T.to_csv() == str(big)
 
+    def test_row_polynomials_share_qy(self):
+        assert Triangle(QQ, [[1]]).row_polynomial_ring() is QY
+
     def test_immutable(self):
         T = Triangle(QQ, [[1]])
         with pytest.raises(AttributeError):

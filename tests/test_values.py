@@ -1,0 +1,35 @@
+"""Value semantics shared by every value type: copies, pickles, immutability."""
+
+import copy
+import pickle
+
+import pytest
+
+from riordan.exact import QA, QAB, QQ, QY
+from riordan.families import pair_fib
+from riordan.series import from_coeffs
+from riordan.triangles import Triangle
+
+# (value, an attribute that must refuse deletion, one that must refuse assignment)
+CASES = {
+    "Q[y] polynomial": (QY.poly([1, -2, 3]), "_c", "ring"),
+    "Q[a][b] polynomial": (QAB.poly([QA.poly([1, 2]), QA.generator()]), "_c", "ring"),
+    "series": (from_coeffs(QY, [1, QY.generator()], 4), "coeffs", "ring"),
+    "triangle": (Triangle(QQ, [[1], [1, 1]]), "rows", "ring"),
+    "Riordan pair": (pair_fib(6), "d", "ring"),
+    "QY": (QY, "base", "var"),
+    "QQ": (QQ, "var", "var"),
+}
+
+
+@pytest.mark.parametrize("value, slot, attr", CASES.values(), ids=CASES)
+def test_value_semantics(value, slot, attr):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value
+        assert hash(twin) == hash(value)
+    before = repr(value)
+    with pytest.raises(AttributeError):
+        delattr(value, slot)
+    with pytest.raises(AttributeError):
+        setattr(value, attr, QA)
+    assert repr(value) == before
