@@ -3,13 +3,21 @@
 Every other module is generic over a coefficient ring.  A ring is described by
 a lightweight descriptor object (``QQ``, ``QY``, ``QA``, ``QAB``) exposing
 ``zero``/``one``/``from_int``/``coerce``/``is_zero``/``invert``/``sqrt``.
-Elements of Q are ``fractions.Fraction`` values (normalized, positive
-denominator, zero is 0/1).  A polynomial over Q (Q[y], Q[a]) does not hold
-Fractions: it stores integer numerators over one positive common
-denominator, in lowest terms, so its arithmetic runs on Python ints and
-reduces by one gcd per result; ``Polynomial.coeffs`` rebuilds the Fractions
-for callers outside the arithmetic.  Bivariate polynomials in a and b are
-realized as polynomials in b whose coefficients are polynomials in a.
+An element of Q has one canonical form: an ``int`` when it is integral and
+a normalized ``fractions.Fraction`` (positive denominator > 1) otherwise,
+never a ``bool``, a ``float`` or a ``Fraction`` with denominator 1.  So the
+integer arrays of the paper run on Python ints, and ``Fraction`` arithmetic
+happens only where a value is not integral.  ``QQ.coerce`` maps any int,
+bool or ``Fraction`` to its canonical form; code that keeps a computed
+rational passes it through ``coerce``.  Between two ints ``/`` is Python's
+true division, a float: use ``Fraction(a, b)`` or ``QQ.invert`` instead.
+
+A polynomial over Q (Q[y], Q[a]) does not hold Fractions: it stores integer
+numerators over one positive common denominator, in lowest terms, so its
+arithmetic runs on Python ints and reduces by one gcd per result;
+``Polynomial.coeffs`` gives the canonical rationals for callers outside the
+arithmetic.  Bivariate polynomials in a and b are realized as polynomials in
+b whose coefficients are polynomials in a.
 """
 
 from __future__ import annotations
@@ -20,8 +28,9 @@ from functools import cache
 
 from ._value import Value
 
-# Base scalar type.  Always normalized: gcd(num, den) == 1 and den > 0.
-ExactRational = Fraction
+# Base scalar type, canonical: an int when integral, else a normalized
+# Fraction with denominator > 1 (see ``rational``).
+ExactRational = int | Fraction
 
 # The only polynomial variables that ever occur.
 POLY_VARS = ("y", "a", "b")
@@ -73,7 +82,13 @@ def jacobsthal(n: int) -> int:
     return a
 
 
-def exact_sqrt(q: Fraction) -> Fraction:
+def rational(num: int, den: int) -> ExactRational:
+    """The canonical element num/den of Q, den != 0."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def exact_sqrt(q: ExactRational) -> ExactRational:
     """Nonnegative square root of a rational, or ValueError if not exact."""
     if q < 0:
         raise ValueError(f"exact_sqrt: {q} is negative")
@@ -81,47 +96,69 @@ def exact_sqrt(q: Fraction) -> Fraction:
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
         raise ValueError(f"exact_sqrt: {q} is not a perfect square")
-    return Fraction(rn, rd)
+    return rational(rn, rd)
 
 
-class RationalField(Value):
+class _Ring(Value):
+    """Base of the ring descriptors.  The named rings ``QQ``, ``QY``, ``QA``
+    and ``QAB`` copy and unpickle as themselves, so values rebuilt from a
+    copy meet their ring by identity, as fresh ones do."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        for name in _NAMED_RINGS:
+            if globals()[name] is self:
+                return _named_ring, (name,)
+        return super().__reduce__()
+
+
+def _named_ring(name: str) -> _Ring:
+    return globals()[name]
+
+
+class RationalField(_Ring):
     """Descriptor for Q, the base coefficient field."""
 
     __slots__ = ()
     var = None
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return int(n)
 
-    def coerce(self, x):
-        if isinstance(x, Fraction):
+    def coerce(self, x) -> ExactRational:
+        """The canonical form of an int, bool or Fraction."""
+        if type(x) is int:
             return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
+        if isinstance(x, int):  # a bool or another int subclass
+            return int(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def is_zero(self, x) -> bool:
         return not x
 
-    def invert(self, x: Fraction) -> Fraction:
+    def invert(self, x) -> ExactRational:
+        x = self.coerce(x)
         if not x:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / self.coerce(x)
+        return rational(x.denominator, x.numerator)
 
-    def sqrt(self, x) -> Fraction:
+    def sqrt(self, x) -> ExactRational:
         return exact_sqrt(self.coerce(x))
 
     def __repr__(self):
         return "Q"
 
 
-class PolynomialRing(Value):
+class PolynomialRing(_Ring):
     """Descriptor for base[var], dense univariate polynomials over ``base``."""
 
     __slots__ = ("base", "var", "over_q")
@@ -195,9 +232,10 @@ class Polynomial(Value):
     ints.  Over any other base (Q[a] inside Q[a][b]) ``_c`` holds the base
     elements themselves, with no trailing zero, and ``_den`` is 1.
 
-    ``coeffs`` is the public view, a tuple of base elements (``Fraction``
-    over Q); over Q it is built on each access, for rendering and callers
-    outside the arithmetic.
+    ``coeffs`` is the public view, a tuple of base elements: canonical
+    rationals over Q (an ``int`` when integral, else a ``Fraction``), which
+    is ``_c`` itself when ``_den`` is 1 and is built on each access
+    otherwise, for rendering and callers outside the arithmetic.
     """
 
     __slots__ = ("ring", "_c", "_den")
@@ -215,13 +253,11 @@ class Polynomial(Value):
 
     @property
     def coeffs(self) -> tuple:
-        """Ascending coefficients as base elements; ``Fraction`` over Q."""
-        if not self.ring.over_q:
-            return self._c
+        """Ascending coefficients as base elements; canonical rationals over Q."""
         den = self._den
         if den == 1:
-            return tuple(map(Fraction, self._c))
-        return tuple(Fraction(c, den) for c in self._c)
+            return self._c
+        return tuple(rational(c, den) for c in self._c)
 
     @property
     def degree(self) -> int:
@@ -234,9 +270,8 @@ class Polynomial(Value):
             raise IndexError(f"negative coefficient index {k}")
         if k >= len(self._c):
             return self.ring.base.zero()
-        if self.ring.over_q:
-            return Fraction(self._c[k], self._den)
-        return self._c[k]
+        den = self._den
+        return self._c[k] if den == 1 else rational(self._c[k], den)
 
     def padded(self, length: int) -> list:
         """Ascending coefficients padded with zeros to exactly ``length``."""
@@ -365,7 +400,7 @@ class Polynomial(Value):
         for c in reversed(self._c[:-1]):
             q_power *= q
             acc = acc * p + c * q_power
-        return Fraction(acc, q_power * self._den)
+        return rational(acc, q_power * self._den)
 
     def shift_down(self, k: int) -> "Polynomial":
         """Exact division by var^k; raises unless divisible."""
@@ -414,6 +449,7 @@ QQ = RationalField()
 QY = PolynomialRing(QQ, "y")
 QA = PolynomialRing(QQ, "a")
 QAB = PolynomialRing(QA, "b")
+_NAMED_RINGS = ("QQ", "QY", "QA", "QAB")
 
 
 def _format_coefficient(c) -> tuple[str, bool]:
@@ -426,9 +462,7 @@ def _format_coefficient(c) -> tuple[str, bool]:
 def format_element(x) -> str:
     """Canonical exact rendering: integers bare, rationals p/q, polynomials
     in descending powers with explicit '*'."""
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return str(x)
     if isinstance(x, Polynomial):
         coeffs = x.coeffs

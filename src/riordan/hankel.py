@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .exact import rational
+
 
 def _scale_to_integers(values) -> tuple[list[int], int]:
     """The integers L*v and their least common denominator L."""
@@ -66,9 +68,8 @@ def _det_bareiss(m: list[list[int]], prev: int = 1) -> int:
 
 
 def determinant(rows: list[list]):
-    """Exact determinant of a square matrix of rationals.
-
-    An ``int`` when every entry is integral, a ``Fraction`` otherwise.
+    """Exact determinant of a square matrix of rationals, as a canonical
+    element of Q: an ``int`` when it is integral, a ``Fraction`` otherwise.
     """
     n = len(rows)
     for row in rows:
@@ -78,14 +79,14 @@ def determinant(rows: list[list]):
         return 1
     flat, lcd = _scale_to_integers(e for row in rows for e in row)
     det = _det_bareiss([flat[i * n:(i + 1) * n] for i in range(n)])
-    return det if lcd == 1 else Fraction(det, lcd**n)
+    return rational(det, lcd**n)
 
 
 def hankel_transform(seq, m_max: int) -> list:
     """h_m = det(a_{i+j}) over 0 <= i,j <= m, for m = 0 .. m_max.
 
-    Every h_m is an ``int`` when a_0 .. a_{2 m_max} are all integral and a
-    ``Fraction`` otherwise.
+    Each h_m is a canonical element of Q: an ``int`` when it is integral,
+    which it is whenever a_0 .. a_{2 m_max} are, and a ``Fraction`` otherwise.
     """
     seq = tuple(seq)
     if len(seq) < 2 * m_max + 1:
@@ -112,6 +113,4 @@ def hankel_transform(seq, m_max: int) -> list:
             a = top[i - k]
             u[i] = [(x * pivot - a * t) // prev for x, t in zip(u[i], top[i - k:])]
         prev = pivot
-    if lcd == 1:
-        return h
-    return [Fraction(v, lcd ** (k + 1)) for k, v in enumerate(h)]
+    return [rational(v, lcd ** (k + 1)) for k, v in enumerate(h)]

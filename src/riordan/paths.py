@@ -4,19 +4,22 @@ domino/square tilings, counted by the statistic attached to each triangle.
 These never touch the series machinery, so they serve as independent checks
 of the closed forms.  Motzkin paths take steps U=(1,1), D=(1,-1), H=(1,0)
 from height 0 back to height 0; the plain variant never dips below 0, the
-grand variant may.  Nothing is enumerated path by path: each count is a
-memoized dynamic program over the step-by-step state, (steps remaining,
-height, statistic so far) for paths and (cells remaining, squares so far)
-for tilings.
+grand variant may.  Nothing is enumerated path by path.  Paths are counted
+by one cached dynamic program per variant and statistic over (steps
+remaining, height), whose state holds the counts for every statistic value
+at once, so the counts of all k and all shorter lengths share it.  Tilings
+are a memoized recursion over (cells remaining, squares so far).
 
 ``MAX_PATH_LENGTH`` and ``MAX_BOARD_LENGTH`` bound the lengths the oracles
 accept, a little above the lengths the ``paths`` suite and the tests check
 (n <= 12 for paths, n <= 14 for tilings).  They are not cost limits: the
-path program has O(n^3) states, and a length-16 count takes about a
-millisecond.
+path program has O(n^2) states of O(n) counts each, and filling it for
+length 16 takes about a millisecond.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from ._value import Value
 
@@ -47,39 +50,39 @@ def _step_weights(statistic: str) -> tuple[int, int, int]:
     return 1, 0, 1  # up_plus_level_steps
 
 
-def count_paths(cls: PathClass, n: int, k: int) -> int:
-    """Paths of length n whose statistic equals k.
+@cache
+def _path_counts(grand: bool, statistic: str, rem: int, h: int) -> tuple[int, ...]:
+    """Entry c counts the ways to finish a path from height h in ``rem``
+    steps, back at height 0, whose steps add c to the statistic.
 
-    A memoized recursion over (steps remaining, height, statistic so far):
-    each state sums the counts after a U, a D (plain paths only above
-    height 0) and an H step, pruned once the statistic exceeds k or the
-    height cannot return to 0 in the remaining steps.
+    Each state shifts the counts after a U, a D (plain paths only above
+    height 0) and an H step by the weight of that step; a height that
+    cannot return to 0 in the remaining steps has no ways at all.
     """
+    if abs(h) > rem:
+        return ()
+    if rem == 0:
+        return (1,)
+    wu, wd, wh = _step_weights(statistic)
+    steps = [(h + 1, wu), (h, wh)]
+    if grand or h > 0:
+        steps.append((h - 1, wd))
+    out = [0] * (rem + 1)  # no step adds more than 1
+    for height, weight in steps:
+        for c, ways in enumerate(_path_counts(grand, statistic, rem - 1, height), weight):
+            out[c] += ways
+    return tuple(out)
+
+
+def count_paths(cls: PathClass, n: int, k: int) -> int:
+    """Paths of length n whose statistic equals k: entry k of the cached
+    counts of every statistic value (see ``_path_counts``)."""
     if n < 0 or n > MAX_PATH_LENGTH:
         raise ValueError(f"path length must be in 0..{MAX_PATH_LENGTH}, got {n}")
     if k < 0:
         raise ValueError(f"statistic value must be >= 0, got {k}")
-    grand = cls.variant == "grand_motzkin"
-    wu, wd, wh = _step_weights(cls.statistic)
-    memo: dict[tuple[int, int, int], int] = {}
-
-    def rec(rem: int, h: int, c: int) -> int:
-        if c > k or abs(h) > rem:
-            return 0
-        if rem == 0:
-            return 1 if h == 0 and c == k else 0
-        key = (rem, h, c)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = rec(rem - 1, h + 1, c + wu)  # U
-        if grand or h > 0:
-            total += rec(rem - 1, h - 1, c + wd)  # D
-        total += rec(rem - 1, h, c + wh)  # H
-        memo[key] = total
-        return total
-
-    return rec(n, 0, 0)
+    counts = _path_counts(cls.variant == "grand_motzkin", cls.statistic, n, 0)
+    return counts[k] if k < len(counts) else 0
 
 
 def count_tilings(n: int, k: int) -> int:

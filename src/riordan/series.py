@@ -108,7 +108,8 @@ class PowerSeries(Value):
                 if ring.is_zero(b):
                     continue
                 acc = acc - b * out[k - i]
-            out.append(acc * inv0)
+            # canonical, so integral terms keep later steps on int arithmetic
+            out.append(ring.coerce(acc * inv0))
         return PowerSeries(ring, out)
 
     def __rtruediv__(self, other):
@@ -250,6 +251,7 @@ def _miller_power(ring, h_tail, a, p0, scale, n: int) -> list:
     ``h_tail`` is ``_nonzero_tail(h)``, ``p0`` is h_0^a and ``scale[k]`` is
     1/(k h_0) for k = 1 .. n-1; the exponent a may be any rational.  Only
     the nonzero h_j are visited, so s of them cost O(n s) ring products.
+    Each P_k is kept canonical, so integral data stays on int arithmetic.
     The division by k needs Q inside the ring, which holds for every ring here.
     """
     a1 = a + 1
@@ -264,7 +266,7 @@ def _miller_power(ring, h_tail, a, p0, scale, n: int) -> list:
             if c and not ring.is_zero(p):
                 term = hj * c * p
                 acc = term if acc is None else acc + term
-        P.append(ring.zero() if acc is None else acc * scale[k])
+        P.append(ring.zero() if acc is None else ring.coerce(acc * scale[k]))
     return P
 
 

@@ -186,7 +186,7 @@ def row_sums(T: Triangle) -> list:
         acc = T.ring.zero()
         for e in row:
             acc = acc + e
-        out.append(acc)
+        out.append(T.ring.coerce(acc))
     return out
 
 
@@ -198,5 +198,5 @@ def eval_rows(T: Triangle, y0) -> list:
         acc = T.ring.zero()
         for e in reversed(row):
             acc = acc * y0 + e
-        out.append(acc)
+        out.append(T.ring.coerce(acc))
     return out

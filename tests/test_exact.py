@@ -9,6 +9,7 @@ from riordan.exact import (
     QA,
     QAB,
     QY,
+    Polynomial,
     binomial,
     catalan,
     exact_sqrt,
@@ -16,6 +17,7 @@ from riordan.exact import (
     format_element,
     jacobsthal,
 )
+from test_canonical import is_canonical_q
 
 
 class TestNumbers:
@@ -238,14 +240,16 @@ def o_pow(p, n, one):
 
 
 def terms(p):
-    """The oracle dict of a Q[y], Q[a] or Q[a][b] polynomial."""
+    """The oracle dict of a Q[y], Q[a] or Q[a][b] polynomial; every
+    coefficient in Q it passes must be in canonical form."""
     out = {}
     for k, c in enumerate(p.coeffs):
-        if isinstance(c, Fraction):
+        if isinstance(c, Polynomial):
+            out.update({(i, k): ci for (i,), ci in terms(c).items()})
+        else:
+            assert is_canonical_q(c), repr(c)
             if c:
                 out[(k,)] = c
-        else:
-            out.update({(i, k): ci for (i,), ci in terms(c).items()})
     return out
 
 
@@ -319,7 +323,7 @@ class TestKernelAgainstOracle:
     @given(polys, rationals)
     def test_call_over_qy(self, p, v):
         assert p(v) == sum((c * v ** k for (k,), c in terms(p).items()), Fraction(0))
-        assert type(p(v)) is Fraction
+        assert is_canonical_q(p(v)), repr(p(v))
 
     @given(qab_polys, qa_polys)
     def test_call_over_qab(self, p, v):

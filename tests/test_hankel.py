@@ -13,6 +13,7 @@ from riordan.hankel import determinant, hankel_transform
 from riordan.series import from_coeffs
 from riordan.triangles import row_sums
 from riordan.verify import SuiteReport, _compare_sequences
+from test_canonical import is_canonical_q
 
 
 def hankel_rows(source, dim):
@@ -169,15 +170,21 @@ class TestOnePassTransform:
     @given(hankel_sources(max_m=4))
     def test_result_type_depends_only_on_the_terms_used(self, source):
         seq, m = source
-        # a non-integral term past a_(2m) is never used
-        h = hankel_transform(seq + [Fraction(1, 2)], m)
-        integral = all(Fraction(a).denominator == 1 for a in seq)
-        assert all(type(v) is (int if integral else Fraction) for v in h)
+        # a non-integral term past a_(2m) is never used: it changes neither
+        # a value nor its type, and every value is canonical
+        h = hankel_transform(seq, m)
+        longer = hankel_transform(seq + [Fraction(1, 2)], m)
+        assert longer == h
+        assert [type(v) for v in longer] == [type(v) for v in h]
+        assert all(is_canonical_q(v) for v in h)
+        if all(Fraction(a).denominator == 1 for a in seq):
+            assert all(type(v) is int for v in h)
 
     def test_result_type_of_dual_values_at_one_half(self):
         h = hankel_transform(dual_values(Fraction(1, 2), 9), 4)
         assert h[:3] == [1, -2, 2]
-        assert all(type(v) is Fraction for v in h)
+        assert [type(v) for v in h] == [int, int, int, Fraction, Fraction]
+        assert all(is_canonical_q(v) for v in h)
 
 
 def rational_gf(num, den, n_terms):

@@ -33,3 +33,19 @@ def test_value_semantics(value, slot, attr):
     with pytest.raises(AttributeError):
         setattr(value, attr, QA)
     assert repr(value) == before
+
+
+@pytest.mark.parametrize("ring", [QQ, QY, QA, QAB], ids=repr)
+def test_named_rings_keep_their_identity(ring):
+    for twin in (copy.copy(ring), copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
+        assert twin is ring
+
+
+def test_copied_values_share_the_named_ring():
+    p = QY.poly([1, -2, 3])
+    q = QAB.poly([QA.poly([1, 2]), QA.generator()])
+    for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin.ring is QY
+    assert copy.deepcopy(q).ring is QAB
+    assert copy.deepcopy(q).coeffs[0].ring is QA
+    assert copy.deepcopy(from_coeffs(QY, [p], 2)).ring is QY
