@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import families
-from .exact import format_element
+from .exact import format_element, unlimited_int_digits
 from .triangles import Triangle, build_from_bgf, eval_rows, invert_triangle, row_sums
 
 TRIANGLE_HELP = f"{', '.join(families.TRIANGLES)}, cf@<rational>"
@@ -174,25 +174,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "triangle":
-            T = resolve_triangle(args.name, args.gf, args.rows)
-            if args.invert:
-                T = invert_triangle(T)
-            if args.eval_at is not None:
-                values = eval_rows(T, _parse_rational(args.eval_at, "--eval-at value"))
+        # exact values are read and printed whatever their number of digits
+        with unlimited_int_digits():
+            if args.command == "triangle":
+                T = resolve_triangle(args.name, args.gf, args.rows)
+                if args.invert:
+                    T = invert_triangle(T)
+                if args.eval_at is not None:
+                    values = eval_rows(T, _parse_rational(args.eval_at, "--eval-at value"))
+                    print(render_sequence(values, args.format, args.offset))
+                else:
+                    print(render_triangle(T, args.format))
+                return 0
+            if args.command == "sequence":
+                values = resolve_sequence(args.spec, args.terms)
                 print(render_sequence(values, args.format, args.offset))
-            else:
-                print(render_triangle(T, args.format))
-            return 0
-        if args.command == "sequence":
-            values = resolve_sequence(args.spec, args.terms)
-            print(render_sequence(values, args.format, args.offset))
-            return 0
-        from . import verify
+                return 0
+            from . import verify
 
-        text, ok = render_reports(verify.run(args.suite))
-        print(text)
-        return 0 if ok else 1
+            text, ok = render_reports(verify.run(args.suite))
+            print(text)
+            return 0 if ok else 1
     except (CliError, ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,7 @@
 
 Every other module is generic over a coefficient ring.  A ring is described by
 a lightweight descriptor object (``QQ``, ``QY``, ``QA``, ``QAB``) exposing
-``zero``/``one``/``from_int``/``coerce``/``is_zero``/``invert``/``sqrt``.
+``zero``/``one``/``from_int``/``coerce``/``is_zero``/``invert``/``sqrt``/``dot``.
 An element of Q has one canonical form: an ``int`` when it is integral and
 a normalized ``fractions.Fraction`` (positive denominator > 1) otherwise,
 never a ``bool``, a ``float`` or a ``Fraction`` with denominator 1.  So the
@@ -12,17 +12,28 @@ bool or ``Fraction`` to its canonical form; code that keeps a computed
 rational passes it through ``coerce``.  Between two ints ``/`` is Python's
 true division, a float: use ``Fraction(a, b)`` or ``QQ.invert`` instead.
 
+``ring.dot(terms, den=1)`` is the ring's one fused multiply-accumulate: the
+canonical (sum of w*x*y) / den over triples (w, x, y) of an ``int`` weight
+w and two ring elements, for an ``int`` den > 0.  Series products, division
+and powers build each output coefficient with one ``dot``, and the product
+of two polynomials is itself a one-term ``dot``.
+
 A polynomial over Q (Q[y], Q[a]) does not hold Fractions: it stores integer
 numerators over one positive common denominator, in lowest terms, so its
-arithmetic runs on Python ints and reduces by one gcd per result;
-``Polynomial.coeffs`` gives the canonical rationals for callers outside the
-arithmetic.  Bivariate polynomials in a and b are realized as polynomials in
-b whose coefficients are polynomials in a.
+arithmetic runs on Python ints.  Its ring's ``dot`` convolves the numerators
+of every term into one list over one common denominator, so a sum of
+products is reduced by one gcd, not one per product.  ``Polynomial.coeffs``
+gives the canonical rationals for callers outside the arithmetic.
+Bivariate polynomials in a and b are realized as polynomials in b whose
+coefficients are polynomials in a; there each coefficient of a ``dot`` is
+one ``dot`` over Q[a].
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 
@@ -80,6 +91,24 @@ def jacobsthal(n: int) -> int:
     for _ in range(n):
         a, b = b, b + 2 * a
     return a
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift Python's limit on int <-> decimal string conversion (4300 digits
+    by default since 3.11 and in some 3.10 patch releases) for the body of
+    the ``with``, and restore the previous limit after it.  Exact values
+    have no size limit, so reading and printing them must not have one."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:  # an interpreter without the limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(previous)
 
 
 def rational(num: int, den: int) -> ExactRational:
@@ -154,6 +183,15 @@ class RationalField(_Ring):
     def sqrt(self, x) -> ExactRational:
         return exact_sqrt(self.coerce(x))
 
+    def dot(self, terms, den: int = 1) -> ExactRational:
+        """The canonical (sum of w * x * y over the triples (w, x, y)) / den."""
+        acc = 0
+        for w, x, y in terms:
+            acc += x * y if w == 1 else x * y * w
+        if type(acc) is int:
+            return acc if den == 1 else rational(acc, den)
+        return self.coerce(acc if den == 1 else acc / den)
+
     def __repr__(self):
         return "Q"
 
@@ -215,6 +253,50 @@ class PolynomialRing(_Ring):
         if not p:
             return self.zero()
         return self.const(self.base.sqrt(p.coefficient(0)))
+
+    def dot(self, terms, den: int = 1) -> "Polynomial":
+        """(The sum of w * x * y over the triples (w, x, y)) / den, for ints
+        w and den > 0 and polynomials x, y of this ring.
+
+        Over Q the integer numerators of every product are convolved into
+        one list over the least common denominator, and the sum is reduced
+        once.  Over any other base each coefficient of the sum is one
+        ``dot`` of the base ring over every pair of coefficients that meets
+        at its degree, so the base reduces once per coefficient too.
+        """
+        if not self.over_q:
+            sums = []
+            for w, x, y in terms:
+                a, b = x._c, y._c
+                if not (w and a and b):
+                    continue
+                if len(sums) < len(a) + len(b) - 1:
+                    sums += [[] for _ in range(len(a) + len(b) - 1 - len(sums))]
+                for i, c in enumerate(a):
+                    for j, e in enumerate(b, i):
+                        sums[j].append((w, c, e))
+            return _make(self, *_reduced([self.base.dot(t, den) for t in sums], 1))
+        out, lcd = [], 1
+        for w, x, y in terms:
+            a, b = x._c, y._c
+            if not (w and a and b):
+                continue
+            d = x._den * y._den
+            if lcd % d:  # widen the common denominator to lcm(lcd, d)
+                m = d // math.gcd(lcd, d)
+                out = [c * m for c in out]
+                lcd *= m
+            w *= lcd // d
+            if len(a) < len(b):
+                a, b = b, a
+            if len(out) < len(a) + len(b) - 1:
+                out += [0] * (len(a) + len(b) - 1 - len(out))
+            for j, c in enumerate(b):
+                if c:
+                    c *= w
+                    for i, e in enumerate(a, j):
+                        out[i] += e * c
+        return _make(self, *_reduced(out, lcd * den))
 
     def __repr__(self):
         return f"{self.base!r}[{self.var}]"
@@ -345,23 +427,7 @@ class Polynomial(Value):
             other = self.ring.coerce(other)
         except TypeError:
             return NotImplemented
-        ring = self.ring
-        a, b = self._c, other._c
-        if not a or not b:
-            return ring.zero()
-        if len(a) < len(b):
-            a, b = b, a
-        den = self._den * other._den
-        if ring.over_q and len(b) == 1:  # a scalar or a constant
-            return _make(ring, *_reduced([c * b[0] for c in a], den))
-        out = [0 if ring.over_q else ring.base.zero()] * (len(a) + len(b) - 1)
-        b = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in b:
-                out[i + j] = out[i + j] + x * y
-        return _make(ring, *_reduced(out, den))
+        return self.ring.dot(((1, self, other),))
 
     __rmul__ = __mul__
 

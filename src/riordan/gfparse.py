@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._value import Value
-from .exact import QQ, QY, QAB
+from .exact import QQ, QY, QAB, unlimited_int_digits
 from .series import PowerSeries, constant, x_series, generator_series
 
 VARIABLES = ("x", "y", "a", "b")
@@ -252,9 +252,11 @@ def _fold_div(op: str, left: Node, right: Node, pos: int) -> Node:
 
 
 def parse(text: str) -> Node:
-    """Parse generating-function text into an AST."""
+    """Parse generating-function text into an AST.  Integer literals have
+    no digit limit."""
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    with unlimited_int_digits():
+        node = parser.parse_expr()
     tok = parser.current
     if tok.kind != "end":
         raise ParseError(f"unexpected {tok.text!r} after expression", tok.pos)

@@ -4,9 +4,16 @@ A series carries exactly ``order`` coefficients c_0 .. c_{order-1}; binary
 operations truncate to the smaller order, so precision can shrink but never
 silently degrade.  Everything is exact: composition is Horner's rule in the
 series ring.  Reversion (Lagrange inversion, see ``PowerSeries.revert``) and
-the square root both form a power h^a by J.C.P. Miller's recurrence
-(``_miller_power``), summed over the nonzero coefficients of h only.  A
-square root needs the constant term to have an exact root.
+the square root both form a power h^(p/q) by J.C.P. Miller's recurrence
+(``_miller_power``), summed over the nonzero coefficients of h only, with
+integer weights: the exponent is passed as p/q and q goes into the integer
+divisor of each step.  A square root needs the constant term to have an
+exact root.
+
+Every output coefficient of ``*``, ``/`` and ``_miller_power`` is one call
+of the ring's fused multiply-accumulate ``ring.dot`` (see ``exact``): the
+loops here only gather the (weight, factor, factor) terms of each
+coefficient, and the ring sums them with one reduction.
 """
 
 from __future__ import annotations
@@ -75,17 +82,15 @@ class PowerSeries(Value):
             c = ring.coerce(other)
             return PowerSeries(ring, [a * c for a in self.coeffs])
         n = min(len(self.coeffs), len(g.coeffs))
-        out = [ring.zero()] * n
-        for i in range(n):
-            a = self.coeffs[i]
-            if ring.is_zero(a):
-                continue
-            for j in range(n - i):
-                b = g.coeffs[j]
-                if ring.is_zero(b):
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return PowerSeries(ring, out)
+        # the terms of each out_k: one per pair of nonzero f_i, g_j, i + j = k
+        sums = [[] for _ in range(n)]
+        g_terms = _nonzero(g.coeffs[:n])
+        for i, a in _nonzero(self.coeffs[:n]):
+            for j, b in g_terms:
+                if i + j >= n:
+                    break
+                sums[i + j].append((1, a, b))
+        return PowerSeries(ring, list(map(ring.dot, sums)))
 
     __rmul__ = __mul__
 
@@ -98,18 +103,20 @@ class PowerSeries(Value):
             return PowerSeries(ring, [a * inv for a in self.coeffs])
         if not g.coeffs or ring.is_zero(g.coeffs[0]):
             raise ZeroDivisionError("division by series with zero constant term")
-        inv0 = ring.invert(g.coeffs[0])
+        inv0, one = ring.invert(g.coeffs[0]), ring.one()
         n = min(len(self.coeffs), len(g.coeffs))
+        # out_k = f_k/g_0 + sum_{i=1..k} (-g_i/g_0) out_{k-i}: one dot per k,
+        # over canonical factors, so integral data stays on int arithmetic
+        f = [ring.coerce(c * inv0) for c in self.coeffs[:n]]
+        minus_inv0 = -inv0
+        g_tail = [(i, ring.coerce(b * minus_inv0)) for i, b in _nonzero(g.coeffs[1:n], 1)]
         out = []
         for k in range(n):
-            acc = self.coeffs[k]
-            for i in range(1, k + 1):
-                b = g.coeffs[i]
-                if ring.is_zero(b):
-                    continue
-                acc = acc - b * out[k - i]
-            # canonical, so integral terms keep later steps on int arithmetic
-            out.append(ring.coerce(acc * inv0))
+            # the tail is ascending in i >= 1, so g_tail[:k] holds every i <= k
+            terms = [(1, b, out[k - i]) for i, b in g_tail[:k] if i <= k]
+            if f[k]:
+                terms.append((1, f[k], one))
+            out.append(ring.dot(terms))
         return PowerSeries(ring, out)
 
     def __rtruediv__(self, other):
@@ -143,10 +150,11 @@ class PowerSeries(Value):
     def sqrt(self) -> "PowerSeries":
         """Square root with nonnegative constant-term root.
 
-        The power f^(1/2) by J.C.P. Miller's recurrence (see ``_miller_power``)
-        from q_0 = sqrt(f_0), summed over the nonzero f_j only: O(N s) ring
-        products for s nonzero f_j, so a binomial 1 - c x^k costs O(N).  The
-        constant term must have an exact root and be a unit.
+        The power f^(p/q) with p/q = 1/2 by J.C.P. Miller's recurrence (see
+        ``_miller_power``) from q_0 = sqrt(f_0), with the integer weights
+        3 j - 2 k, summed over the nonzero f_j only: O(N s) ring products for
+        s nonzero f_j, so a binomial 1 - c x^k costs O(N).  The constant term
+        must have an exact root and be a unit.
         """
         ring = self.ring
         N = len(self.coeffs)
@@ -156,9 +164,8 @@ class PowerSeries(Value):
             raise ValueError("sqrt needs a nonzero constant term; shift powers of x out first")
         q0 = ring.sqrt(self.coeffs[0])
         f0_inv = ring.invert(self.coeffs[0])
-        scale = [None] + [f0_inv * Fraction(1, k) for k in range(1, N)]
-        half = Fraction(1, 2)
-        return PowerSeries(ring, _miller_power(ring, _nonzero_tail(self), half, q0, scale, N))
+        f_tail = [(j, ring.coerce(c * f0_inv)) for j, c in _nonzero(self.coeffs[1:], 1)]
+        return PowerSeries(ring, _miller_power(ring, f_tail, 1, 2, q0, N))
 
     def compose(self, g: "PowerSeries") -> "PowerSeries":
         """f(g(x)) by Horner in the series ring; g must have zero constant term.
@@ -205,19 +212,18 @@ class PowerSeries(Value):
         g = self.div_x()
         phi = 1 / g
 
-        g_tail, phi_tail = _nonzero_tail(g), _nonzero_tail(phi)
+        g_tail, phi_tail = _nonzero(g.coeffs[1:], 1), _nonzero(phi.coeffs[1:], 1)
         if len(phi_tail) < len(g_tail):
             h_tail, sign, h0_inv = phi_tail, 1, self.coeffs[1]
         else:
             h_tail, sign, h0_inv = g_tail, -1, c1_inv
-        # 1/(k h_0) and 1/n as ring elements, k, n = 1 .. N-1
-        scale = [None] + [h0_inv * Fraction(1, k) for k in range(1, N)]
+        h_tail = [(j, ring.coerce(c * h0_inv)) for j, c in h_tail]
         inv_n = [None] + [ring.coerce(Fraction(1, n)) for n in range(1, N)]
         u = [ring.zero()]
         p0 = ring.one()
         for n in range(1, N):
             p0 = p0 * c1_inv  # h_0^a = c_1^(-n) for either choice of h
-            P = _miller_power(ring, h_tail, sign * n, p0, scale, n)
+            P = _miller_power(ring, h_tail, sign * n, 1, p0, n)
             u.append(P[n - 1] * inv_n[n])
         return PowerSeries(ring, u)
 
@@ -238,35 +244,33 @@ class PowerSeries(Value):
         return f"<series over {self.ring!r}: {self}>"
 
 
-def _nonzero_tail(s: PowerSeries) -> list:
-    """The pairs (j, s_j) with j >= 1 and s_j nonzero, ascending in j."""
-    return [(j, c) for j, c in enumerate(s.coeffs[1:], 1) if not s.ring.is_zero(c)]
+def _nonzero(coeffs, start: int = 0) -> list:
+    """The pairs (start + i, coeffs[i]) with coeffs[i] nonzero, ascending.
+    The coefficients of a series are canonical ring elements, so the zero
+    element is exactly the falsy one."""
+    return [(j, c) for j, c in enumerate(coeffs, start) if c]
 
 
-def _miller_power(ring, h_tail, a, p0, scale, n: int) -> list:
-    """Coefficients P_0 .. P_{n-1} of h^a, by J.C.P. Miller's recurrence
+def _miller_power(ring, h_tail, p: int, q: int, p0, n: int) -> list:
+    """Coefficients P_0 .. P_{n-1} of h^(p/q), by J.C.P. Miller's recurrence
 
-        P_0 = h_0^a,   P_k = 1/(k h_0) sum_{j=1..k} ((a+1) j - k) h_j P_{k-j}.
+        P_0 = h_0^a,   P_k = 1/(q k) sum_{j=1..k} ((p+q) j - q k) (h_j/h_0) P_{k-j}
 
-    ``h_tail`` is ``_nonzero_tail(h)``, ``p0`` is h_0^a and ``scale[k]`` is
-    1/(k h_0) for k = 1 .. n-1; the exponent a may be any rational.  Only
-    the nonzero h_j are visited, so s of them cost O(n s) ring products.
-    Each P_k is kept canonical, so integral data stays on int arithmetic.
-    The division by k needs Q inside the ring, which holds for every ring here.
+    for a = p/q: this is 1/(k h_0) sum ((a+1) j - k) h_j P_{k-j} with q
+    multiplied through, so every weight is an integer and the divisor q k
+    is one.  ``h_tail`` holds the pairs (j, h_j/h_0) with j >= 1 and h_j
+    nonzero, ascending in j, and ``p0`` is h_0^a.  Each P_k is one
+    ``ring.dot`` over the nonzero h_j only, so s of them cost O(n s) ring
+    products, and it is canonical, so integral data stays on int
+    arithmetic.  The division by q k needs Q inside the ring, which holds
+    for every ring here.
     """
-    a1 = a + 1
+    pq = p + q
     P = [p0]
     for k in range(1, n):
-        acc = None
-        for j, hj in h_tail:
-            if j > k:
-                break
-            c = a1 * j - k
-            p = P[k - j]
-            if c and not ring.is_zero(p):
-                term = hj * c * p
-                acc = term if acc is None else acc + term
-        P.append(ring.zero() if acc is None else ring.coerce(acc * scale[k]))
+        qk = q * k
+        # the tail is ascending in j >= 1, so h_tail[:k] holds every j <= k
+        P.append(ring.dot([(pq * j - qk, hj, P[k - j]) for j, hj in h_tail[:k] if j <= k], qk))
     return P
 
 

@@ -178,6 +178,17 @@ class TestSequenceCommand:
         assert code == 0
         assert out.strip() == "1 y y^2+1 y^3+2*y"
 
+    def test_values_past_the_int_string_limit(self, capsys):
+        # 4302 digits: past the 4300-digit default of Python's int <-> str limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, "sequence", "gf:10^4301", "-n", "1")
+        assert (code, err) == (0, "")
+        assert out == "1" + "0" * 4301 + "\n"
+        code, out, err = run_cli(capsys, "sequence", "gf:" + "7" * 5001 + "*x", "-n", "2")
+        assert (code, err) == (0, "")
+        assert out == "0 " + "7" * 5001 + "\n"
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
+
     def test_unknown_spec(self, capsys):
         code, _, err = run_cli(capsys, "sequence", "fib@1", "-n", "3")
         assert code == 1 and "unknown sequence" in err

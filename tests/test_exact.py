@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from riordan.exact import (
     QA,
     QAB,
+    QQ,
     QY,
     Polynomial,
     binomial,
@@ -384,3 +385,51 @@ class TestKernelInvariants:
             assert s._c == () and s._den == 1
             assert hash(s) == hash(0)
             assert s == s.ring.zero()
+
+
+# ---------------------------------------------------------------------------
+# The fused multiply-accumulate ring.dot(terms, den) against the naive fold
+# sum(w * x * y) / den, over plain Fractions for Q and over the oracle dicts
+# above for the polynomial rings.
+
+weights = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-30, 30))
+# integer numerators over one drawn denominator: cheap to draw, and the
+# coefficients still reduce to mixed denominators
+small_rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+q_elements = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-9, 9), small_rationals)
+
+
+def numerators_over(ring, length):
+    return st.builds(lambda nums, den: ring.poly([Fraction(c, den) for c in nums]),
+                     st.lists(st.integers(-40, 40), max_size=length), st.integers(1, 12))
+
+
+qy_elements = st.one_of(st.just(QY.zero()), small_rationals.map(QY.const), numerators_over(QY, 6))
+qa_elements = st.one_of(st.just(QA.zero()), small_rationals.map(QA.const), numerators_over(QA, 4))
+qab_elements = st.one_of(st.just(QAB.zero()), small_rationals.map(QAB.const),
+                         qa_elements.map(QAB.const),
+                         st.lists(qa_elements, max_size=4).map(QAB.poly))
+dot_rings = st.sampled_from([(QY, qy_elements), (QA, qa_elements), (QAB, qab_elements)])
+
+
+class TestDot:
+    @given(st.lists(st.tuples(weights, q_elements, q_elements), max_size=6), st.integers(1, 12))
+    def test_over_q(self, terms_, den):
+        got = QQ.dot(terms_, den)
+        assert is_canonical_q(got)
+        assert got == Fraction(sum(w * Fraction(x) * y for w, x, y in terms_)) / den
+        if den == 1:
+            assert QQ.dot(terms_) == got
+
+    @given(st.data())
+    def test_over_polynomial_rings(self, data):
+        ring, elements = data.draw(dot_rings)
+        terms_ = data.draw(st.lists(st.tuples(weights, elements, elements), max_size=5))
+        den = data.draw(st.integers(1, 12))
+        want = {}
+        for w, x, y in terms_:
+            want = o_add(want, {e: w * c for e, c in o_mul(terms(x), terms(y)).items()})
+        got = ring.dot(terms_, den)
+        assert got.ring is ring
+        assert_canonical(got)
+        assert terms(got) == {e: Fraction(c) / den for e, c in want.items()}

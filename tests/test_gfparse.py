@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,15 @@ class TestParsing:
     def test_no_implicit_multiplication(self):
         with pytest.raises(ParseError):
             parse("2x")
+
+    def test_literals_past_the_int_string_limit(self):
+        # 5001 digits: past the 4300-digit default of Python's int <-> str limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        sevens = 7 * (10**5001 - 1) // 9
+        assert parse("7" * 5001) == IntLit(sevens)
+        assert parse("7" * 5001 + "/7") == IntLit(sevens // 7)
+        assert eval_gf("7" * 5001 + "*x", 2).coeffs == (0, sevens)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
 
 
     def test_nesting_up_to_the_limit(self):

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from riordan.exact import QA, QAB, QQ, QY, binomial
 from riordan.families import cf_matrix
-from riordan.series import constant, from_coeffs, generator_series, x_series
+from riordan.series import _miller_power, constant, from_coeffs, generator_series, x_series
+from test_canonical import is_canonical_q
 
 
 # --- independent oracles -----------------------------------------------------
@@ -200,6 +201,37 @@ class TestSqrt:
         q = s.sqrt()
         assert q[0] == root
         assert q * q == s
+
+
+class TestMillerPower:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rational_exponents_match_integer_powers(self, data):
+        """P = h^(p/q) from the recurrence satisfies P^q == h^p, by ``**``
+        and ``1/**``; h_0 = r^q, so h_0^(p/q) = r^p is exact."""
+        ring = data.draw(st.sampled_from([QQ, QY]))
+        p = data.draw(st.integers(-4, 4))
+        q = data.draw(st.sampled_from([1, 1, 2, 3]))
+        r = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]))
+        if q % 2 == 0:
+            r = abs(r)
+        if ring is QQ:
+            term = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        else:
+            term = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                            max_size=3).map(QY.poly)
+        term = st.one_of(st.just(ring.zero()), term)  # sparse tails too
+        order = 8
+        tail = data.draw(st.lists(term, max_size=order - 1))
+        h0 = Fraction(r) ** q
+        h = from_coeffs(ring, [h0] + tail, order)
+        h_tail = [(j, ring.coerce(c * (1 / h0)))
+                  for j, c in enumerate(h.coeffs[1:], 1) if not ring.is_zero(c)]
+        P = _miller_power(ring, h_tail, p, q, ring.coerce(Fraction(r) ** p), order)
+        rationals = P if ring is QQ else [c for poly in P for c in poly.coeffs]
+        assert all(map(is_canonical_q, rationals))
+        P = from_coeffs(ring, P)
+        assert P ** q == (h ** p if p >= 0 else 1 / h ** -p)
 
 
 class TestCompose:

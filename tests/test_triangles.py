@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import known_values as kv
-from riordan.exact import QQ, QY, catalan, fibonacci, jacobsthal
+from riordan.exact import QQ, QY, binomial, catalan, fibonacci, jacobsthal
 from riordan.families import (
     cf_coeff_triangle,
     cf_matrix,
@@ -148,6 +148,46 @@ class TestInversion:
         ]
         T = Triangle(QQ, rows)
         assert invert_triangle(invert_triangle(T)) == T
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_lagrange_inversion_oracle(self, data):
+        """For an ordinary pair (d, h) with d_0 = +-1 and h = x + O(x^2),
+        Lagrange inversion of x d/(1 - y h) gives every entry of the inverse:
+
+            t*_(n,k) = (-1)^k binom(n+1, k)/(n+1) [x^n] h^k d^(-(n+1)).
+
+        Both the triangle and the formula are computed here by plain
+        convolution of int lists, sharing no code with the series layer."""
+        n_rows = data.draw(st.integers(1, 12))
+        small = st.integers(-3, 3)
+        d = [data.draw(st.sampled_from([1, -1]))] + data.draw(
+            st.lists(small, min_size=n_rows - 1, max_size=n_rows - 1))
+        h = [0, 1] + data.draw(st.lists(small, min_size=n_rows - 1, max_size=n_rows - 1))
+        h = h[:n_rows]
+
+        def mul(f, g):
+            return [sum(f[i] * g[m - i] for i in range(m + 1)) for m in range(n_rows)]
+
+        one = [1] + [0] * (n_rows - 1)
+        h_powers = [one]
+        for _ in range(1, n_rows):
+            h_powers.append(mul(h_powers[-1], h))
+        # 1/d from sum_i d_i d_inv_(m-i) = [m = 0]; d_0 = +-1 is its own inverse
+        d_inv = [d[0]]
+        for m in range(1, n_rows):
+            d_inv.append(-d[0] * sum(d[i] * d_inv[m - i] for i in range(1, m + 1)))
+        columns = [mul(d, hk) for hk in h_powers]
+        T = Triangle(QQ, [[columns[k][n] for k in range(n + 1)] for n in range(n_rows)])
+        expected, d_power = [], one
+        for n in range(n_rows):
+            d_power = mul(d_power, d_inv)  # d^(-(n+1))
+            expected.append([
+                (-1) ** k * Fraction(binomial(n + 1, k), n + 1)
+                * sum(h_powers[k][i] * d_power[n - i] for i in range(n + 1))
+                for k in range(n + 1)
+            ])
+        assert [list(row) for row in invert_triangle(T).rows] == expected
 
     def test_bell_duality(self):
         T = build_ordinary(pair_fib(13), 12)
