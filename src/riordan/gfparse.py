@@ -283,7 +283,12 @@ def _children(node: Node) -> tuple:
 
 def to_text(node: Node) -> str:
     """Render an AST back to source, fully parenthesized; reparsing yields a
-    structurally identical tree."""
+    structurally identical tree.  Integer literals have no digit limit."""
+    with unlimited_int_digits():
+        return _render(node)
+
+
+def _render(node: Node) -> str:
     if isinstance(node, IntLit):
         return str(node.value)
     if isinstance(node, RatLit):
@@ -292,16 +297,16 @@ def to_text(node: Node) -> str:
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        return f"(-{to_text(node.operand)})"
+        return f"(-{_render(node.operand)})"
     if isinstance(node, BinOp):
-        return f"({to_text(node.left)}{node.op}{to_text(node.right)})"
+        return f"({_render(node.left)}{node.op}{_render(node.right)})"
     if isinstance(node, Pow):
-        base = to_text(node.base)
+        base = _render(node.base)
         if isinstance(node.base, Pow):  # x^2^3 is not grammatical
             base = f"({base})"
         return f"{base}^{node.exponent}"
     if isinstance(node, Call):
-        return f"{node.func}({to_text(node.arg)})"
+        return f"{node.func}({_render(node.arg)})"
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -1,20 +1,38 @@
-"""Hankel transforms via fraction-free Bareiss elimination.
+"""Exact determinants and Hankel transforms.
 
-Every exact determinant goes through one routine.  Rational entries are first
-scaled by their least common denominator L, so the matrix is integral; the
-integer determinant is then divided by L^dim.  Bareiss elimination keeps every
-intermediate an integer because each interior division is exact (Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
+``determinant`` is the one general determinant: rational entries are scaled by
+their least common denominator L, so the matrix is integral, the integer
+determinant is found by fraction-free Bareiss elimination with row swaps, and
+it is divided by L^dim.  Each interior division of Bareiss elimination is exact
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 1968).
 
-By Sylvester's identity, with no row swaps the pivot at step k is the leading
-principal minor of order k+1.  So one elimination of the largest Hankel matrix
-yields the whole transform h_0 .. h_m; on rationals it runs on the scaled
-matrix, whose minors are L^(k+1) h_k.  A Hankel matrix is symmetric, and
-without row swaps so is every trailing block, so that pass stores and updates
-only the upper triangle.  A zero pivot h_k stops it; each later minor can still
-be nonzero (for 0, 1, 0, 0, 0: h_0 = 0, h_1 = -1).  Minor j is then continued
-from the eliminated block k..j, with row swaps, from the last nonzero pivot.
+``hankel_transform`` shares no code with it beyond the scaling.  The leading
+Hankel minors h_k = det(a_{i+j})_{0<=i,j<=k}, k = 0 .. m, are the signed
+subresultant coefficients h_k = sRes_{2m-k}(P, Q) of P = x^(2m+1) and
+Q = sum a_i x^(2m-i), whose quotient Q/P = sum a_i x^(-i-1) has the a_i as its
+Markov parameters.  The signed subresultant algorithm of Basu, Pollack and Roy
+(BPR, *Algorithms in Real Algebraic Geometry*, Algorithm 8.21) computes all of
+them, zeros included, as one remainder chain of polynomials sResP_l, each in
+the slot l of its nominal degree:
+
+- a regular step, where the degree drops by one, is a three-term recurrence,
+  the fraction-free form of Chebyshev's algorithm for J-fractions;
+- after a zero minor the degree drops by z + 1 > 1: the z coefficients in
+  between are 0, the next one follows from BPR's t-recurrence, and the next
+  polynomial is one pseudo-remainder.
+
+Every division is exact.  Each quotient in the chain is a subresultant
+coefficient or a coefficient of a subresultant polynomial, which is a
+determinant of integer entries.  The t-recurrence steps through t (t/s)^d for
+d = 1 .. z, and t (t/s)^z = +-s_k is such a coefficient, so the denominator of
+(t/s)^z divides t and every step is integral too.
+
+The chain only reads top coefficients: slot l keeps its degrees >= 2m - l,
+because no lower coefficient reaches an s_l with l >= m.  So the transform
+takes O(m^2) exact divisions, and a zero minor costs no more than a nonzero
+one.  On rationals it runs on the scaled terms L a_i, whose minors are
+L^(k+1) h_k.
 """
 
 from __future__ import annotations
@@ -41,15 +59,13 @@ def _scale_to_integers(values) -> tuple[list[int], int]:
     return [q.numerator * (lcd // q.denominator) for q in qs], lcd
 
 
-def _det_bareiss(m: list[list[int]], prev: int = 1) -> int:
+def _det_bareiss(m: list[list[int]]) -> int:
     """Integer determinant by Bareiss elimination with row swaps, in place.
 
-    Every division is exact.  Started from prev, the last pivot of an earlier
-    pass, on a trailing block that pass left, it returns the determinant of
-    the whole matrix that pass eliminated.
+    Every division is exact.
     """
     n = len(m)
-    sign = 1
+    sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for r in range(k + 1, n):
@@ -70,6 +86,9 @@ def _det_bareiss(m: list[list[int]], prev: int = 1) -> int:
 def determinant(rows: list[list]):
     """Exact determinant of a square matrix of rationals, as a canonical
     element of Q: an ``int`` when it is integral, a ``Fraction`` otherwise.
+
+    Fraction-free Bareiss elimination with row swaps on the matrix scaled to
+    integers; every interior division is exact.
     """
     n = len(rows)
     for row in rows:
@@ -85,32 +104,50 @@ def determinant(rows: list[list]):
 def hankel_transform(seq, m_max: int) -> list:
     """h_m = det(a_{i+j}) over 0 <= i,j <= m, for m = 0 .. m_max.
 
-    Each h_m is a canonical element of Q: an ``int`` when it is integral,
-    which it is whenever a_0 .. a_{2 m_max} are, and a ``Fraction`` otherwise.
+    One signed subresultant chain of x^(2 m_max + 1) and the scaled terms (see
+    the module docstring): O(m_max^2) exact integer divisions, with or without
+    zero minors.  Each h_m is a canonical element of Q: an ``int`` when it is
+    integral, which it is whenever a_0 .. a_{2 m_max} are, and a ``Fraction``
+    otherwise.
     """
     seq = tuple(seq)
     if len(seq) < 2 * m_max + 1:
         raise ValueError(
             f"need {2 * m_max + 1} sequence terms for m_max={m_max}, got {len(seq)}"
         )
-    scaled, lcd = _scale_to_integers(seq[:2 * m_max + 1])
-    dim = m_max + 1
-    # row i keeps columns i .. m_max: u[i][j - i] is entry (i, j) and also (j, i)
-    u = [scaled[2 * i:i + dim] for i in range(dim)]
-    h = []
-    prev = 1
-    for k in range(dim):
-        top = u[k]
-        pivot = top[0]
-        if pivot == 0:
-            block = [[u[min(r, c)][abs(c - r)] for c in range(k, dim)] for r in range(k, dim)]
-            h.append(0)
-            h += [_det_bareiss([row[:n] for row in block[:n]], prev)
-                  for n in range(2, dim - k + 1)]
+    m = m_max
+    scaled, lcd = _scale_to_integers(seq[:2 * m + 1])
+    # a = sResP_(i-1), of degree j, with s = s_j; b = sResP_(j-1).  Each is the
+    # list of its coefficients from its slot's degree down to degree 2m - slot.
+    a, s, j = [1] + [0] * (2 * m + 1), 1, 2 * m + 1
+    b = scaled
+    h = []  # s_2m, s_2m-1, ...: h_k = s_(2m-k)
+    while len(h) <= m:
+        z = 0
+        while z < len(b) and not b[z]:
+            z += 1
+        if z == len(b):
+            break  # sResP_(j-1) = 0, and so is every later s_l
+        b = b[z:]
+        k = j - 1 - z  # the degree of sResP_(j-1)
+        t = sk = b[0]  # t_(j-1), the leading coefficient of b
+        for delta in range(1, z + 1):  # t_(j-1-delta); s_(j-1) .. s_(k+1) are 0
+            sk = (-1) ** delta * t * sk // s
+        h += [0] * z + [sk]
+        if k <= m:
             break
-        h.append(pivot)
-        for i in range(k + 1, dim):
-            a = top[i - k]
-            u[i] = [(x * pivot - a * t) // prev for x, t in zip(u[i], top[i - k:])]
-        prev = pivot
-    return [rational(v, lcd ** (k + 1)) for k, v in enumerate(h)]
+        if z == 0:
+            # -Rem(t^2 a, b) / (s a_0) in closed form: the quotient is t a_0 x + q0
+            q0, ta, tt, d = t * a[1] - a[0] * b[1], t * a[0], t * t, s * a[0]
+            b_next = [(q0 * x + ta * y - tt * w) // d for x, y, w in zip(b[1:], b[2:], a[2:])]
+        else:
+            # -s_k prem(a, b) / (t^(j-k) s a_0), prem(a, b) = Rem(t^(j-k+1) a, b)
+            r = a[:len(b)]
+            for _ in range(z + 2):
+                c = r[0]
+                r = [t * x - c * y for x, y in zip(r[1:], b[1:])]
+            d = t ** (z + 1) * s * a[0]
+            b_next = [-sk * x // d for x in r]
+        a, b, s, j = b, b_next, sk, k
+    h = (h + [0] * (m + 1))[:m + 1]
+    return [rational(v, lcd ** (n + 1)) for n, v in enumerate(h)]

@@ -236,6 +236,15 @@ class TestRoundTrip:
             ast = parse(text)
             assert parse(to_text(ast)) == ast
 
+    def test_past_the_int_string_limit(self):
+        # 5001 digits: past the 4300-digit default of Python's int <-> str limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        for text in ("7" * 5001, "(" + "7" * 5001 + "/2)"):
+            ast = parse(text)
+            assert to_text(ast) == text
+            assert parse(to_text(ast)) == ast
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
+
 
 def _one_ring_asts(generators):
     leaves = st.one_of(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import known_values as kv
 from riordan import hankel
 from riordan.exact import QQ, binomial
-from riordan.families import cf_matrix, dual_cf_sequence
+from riordan.families import cf_matrix, dual_cf_sequence, reciprocal_polys
 from riordan.hankel import determinant, hankel_transform
 from riordan.series import from_coeffs
 from riordan.triangles import row_sums
@@ -100,16 +100,28 @@ class TestHankelTransform:
 
 @st.composite
 def hankel_sources(draw, max_m=7):
-    """(seq, m) with 2m+1 integer, rational or zero-heavy terms; zero-heavy
-    sequences often hit a zero pivot."""
+    """(seq, m) with 2m+1 integer, rational, zero-heavy or gapped terms.
+
+    Zero-heavy sequences often have zero minors.  Gapped ones put runs of 1-6
+    zeros at the start and in the middle, so the subresultant chain drops its
+    degree by 3 or more.  Rationals share one denominator, which is cheaper to
+    draw than a fraction per term.
+    """
     m = draw(st.integers(0, max_m))
-    kind = draw(st.sampled_from(["integers", "rationals", "zero-heavy"]))
-    term = {
-        "integers": st.integers(-20, 20),
-        "rationals": st.fractions(min_value=-5, max_value=5, max_denominator=6),
-        "zero-heavy": st.sampled_from([0, 0, 0, 1, -1]),
-    }[kind]
-    return draw(st.lists(term, min_size=2 * m + 1, max_size=2 * m + 1)), m
+    n = 2 * m + 1
+    kind = draw(st.sampled_from(["integers", "rationals", "zero-heavy", "gapped"]))
+    if kind == "rationals":
+        den = draw(st.integers(1, 6))
+        nums = draw(st.lists(st.integers(-5 * den, 5 * den), min_size=n, max_size=n))
+        return [Fraction(a, den) for a in nums], m
+    if kind == "gapped":
+        seq = []
+        while len(seq) < n:
+            seq += [0] * draw(st.integers(1, 6))
+            seq += draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+        return seq[:n], m
+    term = st.integers(-20, 20) if kind == "integers" else st.sampled_from([0, 0, 0, 1, -1])
+    return draw(st.lists(term, min_size=n, max_size=n)), m
 
 
 class TestOnePassTransform:
@@ -146,7 +158,18 @@ class TestOnePassTransform:
     def test_zero_pivot_then_nonzero_minor(self):
         assert hankel_transform([0, 1, 0, 0, 0], 2) == [0, -1, 0]
 
-    # late zero pivots with nonzero minors after them; checked against
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_leading_zero_run(self, r):
+        # r leading zeros drop the chain's degree by r + 1 at its first step;
+        # the later zero run and the small terms give more gaps further on
+        tail = [3, -2, 0, 0, 0, 5, 1, -4, 2, 0, 0, 7, -1, 6, -3, 2, 4, -5, 1, 3, -2, 8, 0, 0, 0, 1]
+        seq = ([0] * r + [-2, 0, 0] + tail)[:29]
+        h = hankel_transform(seq, 14)
+        assert h == [determinant(hankel_rows(seq, k + 1)) for k in range(15)]
+        # the leading minors are anti-triangular up to h_r
+        assert h[:r + 1] == [0] * r + [(-1) ** (r * (r + 1) // 2) * (-2) ** (r + 1)]
+
+    # late zero minors with nonzero minors after them; checked against
     # sympy's Berkowitz determinant
     LATE_ZERO_PIVOTS = [
         ([1, 0, 1, 1, 2, 2, -1, 0, 0], [1, 1, 0, -1, 98]),
@@ -157,15 +180,33 @@ class TestOnePassTransform:
     def test_late_zero_pivot_then_nonzero_minors(self, seq, expected):
         assert hankel_transform(seq, 4) == expected
 
-    def test_zero_pivot_continues_without_determinant(self, monkeypatch):
-        def no_determinant(rows):
-            raise AssertionError("the transform must not rebuild minors")
+    def test_transform_shares_no_code_with_its_oracle(self, monkeypatch):
+        at_m_20 = {name: source(41) for name, source in self.SOURCES_AT_M_20.items()}
+        expected = {
+            name: [determinant(hankel_rows(seq, k + 1)) for k in range(21)]
+            for name, seq in at_m_20.items()
+        }
+
+        def no_determinant(*args):
+            raise AssertionError("the transform must not compute determinants")
 
         monkeypatch.setattr(hankel, "determinant", no_determinant)
-        for seq, expected in self.LATE_ZERO_PIVOTS:
-            assert hankel_transform(seq, 4) == expected
+        monkeypatch.setattr(hankel, "_det_bareiss", no_determinant)
+        for seq, h in self.LATE_ZERO_PIVOTS:
+            assert hankel_transform(seq, 4) == h
         assert hankel_transform(fibonacci(21), 10) == [1, 1] + [0] * 9
         assert hankel_transform([0, 1, 0, 0, 0], 2) == [0, -1, 0]
+        for name, seq in at_m_20.items():
+            assert hankel_transform(seq, 20) == expected[name]
+
+    @pytest.mark.parametrize("y", [3, -2, Fraction(2, 5)])
+    def test_reciprocal_polys_closed_form(self, y):
+        # a closed form, over Q at three points: the coefficients of
+        # 1/(sqrt(1-4yx^2) - x) have h_n = 2^n y^(n(n+1)/2)
+        seq = [p(Fraction(y)) for p in reciprocal_polys(39)]
+        assert hankel_transform(seq, 19) == [
+            2**n * Fraction(y) ** (n * (n + 1) // 2) for n in range(20)
+        ]
 
     @given(hankel_sources(max_m=4))
     def test_result_type_depends_only_on_the_terms_used(self, source):

@@ -8,8 +8,9 @@ neither the algorithm nor the arithmetic.  ``rs_subs`` substitutes the
 inner series into a sympy polynomial, not by Horner's rule in the series
 ring as ``PowerSeries.compose`` does.  ``rs_nth_root`` and
 ``Matrix.det`` are likewise independent of J.C.P. Miller's power recurrence
-and of Bareiss elimination, and ``sympy.Poly`` of the integer-numerator
-kernel in ``riordan.exact``.  sympy is a test-only dependency.
+and of the Hankel transform's subresultant chain, and ``sympy.Poly`` of the
+integer-numerator kernel in ``riordan.exact``.  sympy is a test-only
+dependency.
 """
 
 from fractions import Fraction
