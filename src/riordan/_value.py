@@ -20,7 +20,8 @@ class Value:
     """An immutable value whose fields are its ``__slots__``.
 
     Equality is type-exact and compares every field except ``pos``, a source
-    offset; hashing agrees with it.  Copies and pickles rebuild the stored
+    offset; hashing agrees with it.  The ring descriptors of ``exact`` are
+    the exception: there is one per ring, and they compare by identity.  Copies and pickles rebuild the stored
     fields without calling the constructor, so they work whatever its
     signature.  Subclasses take their fields in slot order and pass them on
     to ``Value.__init__``, or set them with ``object.__setattr__``.

@@ -2,7 +2,12 @@
 
 Every other module is generic over a coefficient ring.  A ring is described by
 a lightweight descriptor object (``QQ``, ``QY``, ``QA``, ``QAB``) exposing
-``zero``/``one``/``from_int``/``coerce``/``is_zero``/``invert``/``sqrt``/``dot``.
+``zero``/``one``/``coerce``/``invert``/``sqrt``/``dot``; a polynomial ring
+adds ``poly`` and ``generator``.  There is one descriptor per ring:
+``RationalField()`` is ``QQ`` and ``PolynomialRing(base, var)`` returns the
+one ring for that pair, so rings compare by identity.  Every ring element is
+canonical, so its zero is exactly its falsy element: ``not x`` is the zero
+test.
 An element of Q has one canonical form: an ``int`` when it is integral and
 a normalized ``fractions.Fraction`` (positive denominator > 1) otherwise,
 never a ``bool``, a ``float`` or a ``Fraction`` with denominator 1.  So the
@@ -15,8 +20,10 @@ true division, a float: use ``Fraction(a, b)`` or ``QQ.invert`` instead.
 ``ring.dot(terms, den=1)`` is the ring's one fused multiply-accumulate: the
 canonical (sum of w*x*y) / den over triples (w, x, y) of an ``int`` weight
 w and two ring elements, for an ``int`` den > 0.  Series products, division
-and powers build each output coefficient with one ``dot``, and the product
-of two polynomials is itself a one-term ``dot``.
+and powers build each output coefficient with one ``dot``; the product of
+two polynomials is a one-term ``dot`` and their sum or difference a two-term
+one.  Polynomials and series share one square-and-multiply,
+``power_by_squaring``.
 
 A polynomial over Q (Q[y], Q[a]) does not hold Fractions: it stores integer
 numerators over one positive common denominator, in lowest terms, so its
@@ -128,38 +135,25 @@ def exact_sqrt(q: ExactRational) -> ExactRational:
     return rational(rn, rd)
 
 
-class _Ring(Value):
-    """Base of the ring descriptors.  The named rings ``QQ``, ``QY``, ``QA``
-    and ``QAB`` copy and unpickle as themselves, so values rebuilt from a
-    copy meet their ring by identity, as fresh ones do."""
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        for name in _NAMED_RINGS:
-            if globals()[name] is self:
-                return _named_ring, (name,)
-        return super().__reduce__()
-
-
-def _named_ring(name: str) -> _Ring:
-    return globals()[name]
-
-
-class RationalField(_Ring):
-    """Descriptor for Q, the base coefficient field."""
+class RationalField(Value):
+    """Descriptor for Q, the base coefficient field.  ``RationalField()`` is
+    ``QQ``, its one instance, which copies and unpickles as itself."""
 
     __slots__ = ()
     var = None
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __new__(cls):
+        return QQ
+
+    def __reduce__(self):
+        return RationalField, ()
 
     def zero(self) -> int:
         return 0
 
     def one(self) -> int:
         return 1
-
-    def from_int(self, n: int) -> int:
-        return int(n)
 
     def coerce(self, x) -> ExactRational:
         """The canonical form of an int, bool or Fraction."""
@@ -170,9 +164,6 @@ class RationalField(_Ring):
         if isinstance(x, int):  # a bool or another int subclass
             return int(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
-
-    def is_zero(self, x) -> bool:
-        return not x
 
     def invert(self, x) -> ExactRational:
         x = self.coerce(x)
@@ -196,23 +187,38 @@ class RationalField(_Ring):
         return "Q"
 
 
-class PolynomialRing(_Ring):
-    """Descriptor for base[var], dense univariate polynomials over ``base``."""
+class PolynomialRing(Value):
+    """Descriptor for base[var], dense univariate polynomials over ``base``.
+
+    There is one ring per (base, var): ``PolynomialRing(base, var)`` returns
+    it, and so do its copies and pickles, so rings compare and hash by
+    identity.
+    """
 
     __slots__ = ("base", "var", "over_q")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+    _interned: dict = {}
+
+    def __new__(cls, base, var: str):
+        ring = cls._interned.get((base, var))
+        if ring is None:
+            if var not in POLY_VARS:
+                raise ValueError(f"polynomial variable must be one of {POLY_VARS}")
+            ring = object.__new__(cls)
+            # Over Q, polynomials store integer numerators over one denominator.
+            Value.__init__(ring, base, var, isinstance(base, RationalField))
+            ring = cls._interned.setdefault((base, var), ring)
+        return ring
 
     def __init__(self, base, var: str):
-        if var not in POLY_VARS:
-            raise ValueError(f"polynomial variable must be one of {POLY_VARS}")
-        # Over Q, polynomials store integer numerators over one denominator.
-        super().__init__(base, var, isinstance(base, RationalField))
+        """Nothing to do: ``__new__`` sets the fields of each ring once."""
+
+    def __reduce__(self):
+        return PolynomialRing, (self.base, self.var)
 
     def poly(self, coeffs) -> "Polynomial":
         """Polynomial from an ascending coefficient list (index = degree)."""
         return Polynomial(self, [self.base.coerce(c) for c in coeffs])
-
-    def const(self, c) -> "Polynomial":
-        return Polynomial(self, [self.base.coerce(c)])
 
     def generator(self) -> "Polynomial":
         return Polynomial(self, [self.base.zero(), self.base.one()])
@@ -221,21 +227,15 @@ class PolynomialRing(_Ring):
         return Polynomial(self, [])
 
     def one(self) -> "Polynomial":
-        return self.const(self.base.one())
-
-    def from_int(self, n: int) -> "Polynomial":
-        return self.const(self.base.from_int(n))
+        return _make(self, (self.base.one(),), 1)
 
     def coerce(self, x) -> "Polynomial":
         if isinstance(x, Polynomial):
-            if x.ring is self or x.ring == self:
+            if x.ring is self:
                 return x
         elif self.over_q and isinstance(x, (int, Fraction)):
             return _make(self, (x.numerator,) if x else (), x.denominator)
-        return self.const(self.base.coerce(x))  # an element of the base chain
-
-    def is_zero(self, x) -> bool:
-        return isinstance(x, Polynomial) and not x._c and (x.ring is self or x.ring == self)
+        return Polynomial(self, [self.base.coerce(x)])  # an element of the base chain
 
     def invert(self, x) -> "Polynomial":
         """Inverse of a unit: only degree-0 polynomials with invertible constant."""
@@ -244,7 +244,7 @@ class PolynomialRing(_Ring):
             raise ZeroDivisionError(f"{p} is not a unit of {self}")
         if not p:
             raise ZeroDivisionError(f"inverse of 0 in {self}")
-        return self.const(self.base.invert(p.coefficient(0)))
+        return self.coerce(self.base.invert(p.coefficient(0)))
 
     def sqrt(self, x) -> "Polynomial":
         p = self.coerce(x)
@@ -252,7 +252,7 @@ class PolynomialRing(_Ring):
             raise ValueError(f"square root of non-constant polynomial {p}")
         if not p:
             return self.zero()
-        return self.const(self.base.sqrt(p.coefficient(0)))
+        return self.coerce(self.base.sqrt(p.coefficient(0)))
 
     def dot(self, terms, den: int = 1) -> "Polynomial":
         """(The sum of w * x * y over the triples (w, x, y)) / den, for ints
@@ -383,44 +383,26 @@ class Polynomial(Value):
     def __neg__(self):
         return _make(self.ring, tuple([-c for c in self._c]), self._den)
 
-    def __add__(self, other):
+    def _sum(self, other, w: int, v: int):
+        """w * self + v * other through the ring's ``dot``."""
+        ring = self.ring
         try:
-            other = self.ring.coerce(other)
+            other = ring.coerce(other)
         except TypeError:
             return NotImplemented
-        ring = self.ring
-        a, b = self._c, other._c
-        if not b:
-            return self
-        if not a:
-            return other
-        den, other_den = self._den, other._den
-        if den != other_den:
-            g = math.gcd(den, other_den)
-            a = [c * (other_den // g) for c in a]
-            b = [c * (den // g) for c in b]
-            den = den // g * other_den
-        if len(a) < len(b):
-            a, b = b, a
-        out = [x + y for x, y in zip(a, b)]
-        out += a[len(b):]
-        return _make(ring, *_reduced(out, den))
+        one = ring.one()
+        return ring.dot(((w, self, one), (v, other, one)))
+
+    def __add__(self, other):
+        return self._sum(other, 1, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            other = self.ring.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, 1, -1)
 
     def __rsub__(self, other):
-        try:
-            other = self.ring.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return other + (-self)
+        return self._sum(other, -1, 1)
 
     def __mul__(self, other):
         try:
@@ -436,17 +418,7 @@ class Polynomial(Value):
         return self * self.ring.invert(other)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"polynomial power needs integer n >= 0, got {n!r}")
-        result = self.ring.one()
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return power_by_squaring(self, n, self.ring.one(), "polynomial")
 
     def __call__(self, value):
         """Evaluate by Horner at a point of the coefficient ring."""
@@ -495,6 +467,21 @@ def _make(ring: PolynomialRing, c: tuple, den: int) -> Polynomial:
     return p
 
 
+def power_by_squaring(x, n: int, one, what: str):
+    """x^n by repeated squaring, for an int n >= 0; ``one`` is x^0 and
+    ``what`` names the kind of x in the error for any other n."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"{what} power needs integer n >= 0, got {n!r}")
+    result, square = one, x
+    while n:
+        if n & 1:
+            result = result * square
+        n >>= 1
+        if n:
+            square = square * square
+    return result
+
+
 def _reduced(nums: list, den: int) -> tuple[tuple, int]:
     """Canonical stored form of sum_k (nums[k] / den) var^k, den > 0:
     trailing zeros dropped and, over Q, the common factor of numerators and
@@ -511,11 +498,10 @@ def _reduced(nums: list, den: int) -> tuple[tuple, int]:
     return tuple(nums), den
 
 
-QQ = RationalField()
+QQ = object.__new__(RationalField)
 QY = PolynomialRing(QQ, "y")
 QA = PolynomialRing(QQ, "a")
 QAB = PolynomialRing(QA, "b")
-_NAMED_RINGS = ("QQ", "QY", "QA", "QAB")
 
 
 def _format_coefficient(c) -> tuple[str, bool]:
@@ -538,7 +524,7 @@ def format_element(x) -> str:
         parts = []
         for k in range(x.degree, -1, -1):
             c = coeffs[k]
-            if x.ring.base.is_zero(c):
+            if not c:
                 continue
             s, parens = _format_coefficient(c)
             if k == 0:

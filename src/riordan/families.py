@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from fractions import Fraction
-from functools import cache
 
 from .exact import QQ, QY, QA, QAB, Polynomial, binomial, catalan
 from .series import PowerSeries, from_coeffs, x_series, generator_series
@@ -132,7 +131,6 @@ _FAMILY_ENTRIES = {
 }
 
 
-@cache
 def _cf_root(order: int) -> PowerSeries:
     """sqrt(1 - 4yx^2) - x over Q[y], to at least 2 terms."""
     n = max(order, 2)
@@ -188,7 +186,6 @@ def tilde_poly_hypergeom(n: int) -> Polynomial:
     return QY.poly(coeffs)
 
 
-@cache
 def cf_coeffs(n: int) -> Polynomial:
     """C_n sum_i binom(n-i, i) a^(n-2i) b^i over Q[a][b]."""
     if n < 0:
@@ -198,7 +195,6 @@ def cf_coeffs(n: int) -> Polynomial:
     )
 
 
-@cache
 def cf_matrix(b0: Fraction, n_rows: int) -> Triangle:
     """Catalan-scaled Fibonacci matrix at a fixed b: entry (n,k) is the
     coefficient of a^k in cf_coeffs(n) evaluated at b = b0, which is
@@ -307,7 +303,6 @@ cf_coeff_triangle = TRIANGLES["cf-coeff"]
 # ---------------------------------------------------------------------------
 # Four independent routes to the dual Fibonacci polynomials.
 
-@cache
 def dual_fib_polys_by_reversion(n_max: int) -> tuple[Polynomial, ...]:
     """Indices 0..n_max via series reversion of x/(1 - yx - x^2) in x."""
     order = n_max + 1
@@ -317,14 +312,12 @@ def dual_fib_polys_by_reversion(n_max: int) -> tuple[Polynomial, ...]:
     return F.revert().coeffs
 
 
-@cache
 def dual_fib_polys_by_exponential(n_max: int) -> tuple[Polynomial, ...]:
     """Indices 0..n_max via the exponential array [J_1(2x)/x, -x]."""
     T = build_exponential(pair_exp_j1(n_max), n_max)
     return (QY.zero(),) + tuple(T.row_polynomials())
 
 
-@cache
 def dual_fib_polys_by_laurent(n_max: int) -> tuple[Polynomial, ...]:
     """Indices 0..n_max via sum_k t~_{n,k} y^(2k-n), normalized through y^n.
 
@@ -336,18 +329,17 @@ def dual_fib_polys_by_laurent(n_max: int) -> tuple[Polynomial, ...]:
     for n in range(0, n_max):
         lifted = [QQ.zero()] * (2 * n + 1)
         for k in range(n + 1):
-            lifted[2 * k] = QQ.from_int(tilde_coeff(n, k))
+            lifted[2 * k] = tilde_coeff(n, k)
         out.append(QY.poly(lifted).shift_down(n))
     return tuple(out)
 
 
-@cache
 def dual_fib_polys_by_even_form(n_max: int) -> tuple[Polynomial, ...]:
     """Indices 0..n_max via sum_k t~~_{n,k} y^(n-2k)."""
     out = [QY.zero()]
     for n in range(0, n_max):
         coeffs = [QQ.zero()] * (n + 1)
         for k in range(n // 2 + 1):
-            coeffs[n - 2 * k] = QQ.from_int(tildetilde_coeff(n, k))
+            coeffs[n - 2 * k] = tildetilde_coeff(n, k)
         out.append(QY.poly(coeffs))
     return tuple(out)

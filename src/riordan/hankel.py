@@ -38,23 +38,21 @@ L^(k+1) h_k.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .exact import rational
+from .exact import QQ, rational
 
 
 def _scale_to_integers(values) -> tuple[list[int], int]:
-    """The integers L*v and their least common denominator L."""
+    """The integers L*v and their least common denominator L, for the
+    elements v of Q by ``QQ.coerce``'s rule."""
     qs = []
     for i, v in enumerate(values):
-        if not isinstance(v, (int, Fraction)):
-            try:
-                v = Fraction(v)
-            except TypeError:
-                raise TypeError(
-                    f"Hankel determinants need rational terms; term {i} is {v!r}"
-                ) from None
-        qs.append(v)
+        try:
+            qs.append(QQ.coerce(v))
+        except TypeError:
+            raise TypeError(
+                f"Hankel determinants need rational terms; term {i} is {v!r}"
+            ) from None
     lcd = math.lcm(*(q.denominator for q in qs))
     return [q.numerator * (lcd // q.denominator) for q in qs], lcd
 

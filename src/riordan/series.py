@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._value import Value
-from .exact import PolynomialRing, _format_coefficient
+from .exact import PolynomialRing, _format_coefficient, power_by_squaring
 
 
 class PowerSeries(Value):
@@ -49,7 +49,7 @@ class PowerSeries(Value):
 
     def _binary(self, other):
         if isinstance(other, PowerSeries):
-            if other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise TypeError(f"mixed series rings {self.ring!r} and {other.ring!r}")
             return other
         return None  # scalar
@@ -101,7 +101,7 @@ class PowerSeries(Value):
         if g is None:
             inv = ring.invert(ring.coerce(other))
             return PowerSeries(ring, [a * inv for a in self.coeffs])
-        if not g.coeffs or ring.is_zero(g.coeffs[0]):
+        if not g.coeffs or not g.coeffs[0]:
             raise ZeroDivisionError("division by series with zero constant term")
         inv0, one = ring.invert(g.coeffs[0]), ring.one()
         n = min(len(self.coeffs), len(g.coeffs))
@@ -123,17 +123,7 @@ class PowerSeries(Value):
         return constant(self.ring, other, len(self.coeffs)) / self
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"series power needs integer n >= 0, got {n!r}")
-        result = one(self.ring, len(self.coeffs))
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return power_by_squaring(self, n, one(self.ring, len(self.coeffs)), "series")
 
     def mul_x(self) -> "PowerSeries":
         """Multiply by x; the order grows by one (explicitly, never silently)."""
@@ -143,7 +133,7 @@ class PowerSeries(Value):
         """Divide by x: shift coefficients down; the constant term must vanish."""
         if not self.coeffs:
             raise ValueError("cannot shift an order-0 series")
-        if not self.ring.is_zero(self.coeffs[0]):
+        if self.coeffs[0]:
             raise ValueError("div_x needs a zero constant term")
         return PowerSeries(self.ring, self.coeffs[1:])
 
@@ -160,7 +150,7 @@ class PowerSeries(Value):
         N = len(self.coeffs)
         if not N:
             raise ValueError("cannot take sqrt of an order-0 series")
-        if ring.is_zero(self.coeffs[0]):
+        if not self.coeffs[0]:
             raise ValueError("sqrt needs a nonzero constant term; shift powers of x out first")
         q0 = ring.sqrt(self.coeffs[0])
         f0_inv = ring.invert(self.coeffs[0])
@@ -174,9 +164,9 @@ class PowerSeries(Value):
         by g^k only matters through x^(n-1-k), so each step works at that
         order: acc <- x (acc * g/x) + c grows by one coefficient per step.
         """
-        if not isinstance(g, PowerSeries) or g.ring != self.ring:
+        if not isinstance(g, PowerSeries) or g.ring is not self.ring:
             raise TypeError("compose needs a series over the same ring")
-        if not g.coeffs or not self.ring.is_zero(g.coeffs[0]):
+        if not g.coeffs or g.coeffs[0]:
             raise ValueError("compose needs inner series with zero constant term")
         n = min(len(self.coeffs), len(g.coeffs))
         g_over_x = g.div_x()
@@ -206,8 +196,10 @@ class PowerSeries(Value):
         N = len(self.coeffs)
         if N < 2:
             raise ValueError("reversion needs order >= 2")
-        if not ring.is_zero(self.coeffs[0]):
+        if self.coeffs[0]:
             raise ValueError("reversion needs a zero constant term")
+        if not self.coeffs[1]:
+            raise ValueError("reversion needs a nonzero coefficient of x")
         c1_inv = ring.invert(self.coeffs[1])
         g = self.div_x()
         phi = 1 / g
@@ -230,7 +222,7 @@ class PowerSeries(Value):
     def __str__(self):
         parts = []
         for n, c in enumerate(self.coeffs):
-            if self.ring.is_zero(c):
+            if not c:
                 continue
             s, parens = _format_coefficient(c)
             if parens:

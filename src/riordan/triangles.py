@@ -38,14 +38,9 @@ class Triangle(Value):
     def entry(self, n: int, k: int):
         return self.rows[n][k]
 
-    def row_polynomial_ring(self) -> PolynomialRing:
-        """Q[y] over Q is the shared ``QY``, so row polynomials and the series
-        built from them meet their ring by identity."""
-        return QY if self.ring == QQ else PolynomialRing(self.ring, "y")
-
     def row_polynomials(self) -> list[Polynomial]:
         """Row n as the polynomial sum_k t_{n,k} y^k."""
-        ring = self.row_polynomial_ring()
+        ring = PolynomialRing(self.ring, "y")
         return [Polynomial(ring, row) for row in self.rows]
 
     def to_csv(self) -> str:
@@ -77,18 +72,17 @@ class RiordanPair(Value):
     def __init__(self, d: PowerSeries, h: PowerSeries, kind: str = "ordinary"):
         if kind not in RIORDAN_KINDS:
             raise ValueError(f"kind must be one of {RIORDAN_KINDS}")
-        if d.ring != h.ring:
+        if d.ring is not h.ring:
             raise TypeError("d and h must share a coefficient ring")
-        ring = d.ring
-        if d.order == 0 or ring.is_zero(d.coeffs[0]):
+        if d.order == 0 or not d.coeffs[0]:
             raise ValueError("d must have a nonzero constant term")
-        if h.order == 0 or not ring.is_zero(h.coeffs[0]):
+        if h.order == 0 or h.coeffs[0]:
             raise ValueError("h must have a zero constant term")
         if kind == "stretched":
-            if all(ring.is_zero(c) for c in h.coeffs):
+            if not any(h.coeffs):
                 raise ValueError("stretched pair needs a nonzero h")
         else:
-            if h.order < 2 or ring.is_zero(h.coeffs[1]):
+            if h.order < 2 or not h.coeffs[1]:
                 raise ValueError(f"{kind} pair needs h'(0) != 0")
         super().__init__(d, h, kind)
 
@@ -159,15 +153,14 @@ def invert_triangle(T: Triangle) -> Triangle:
     generating function, divide by x, and re-expand the rows.
 
     Defined for numeric triangles with t_{0,0} = +-1; an involution."""
-    if T.ring != QQ:
+    if T.ring is not QQ:
         raise TypeError("inversion is defined for triangles over Q")
     if T.n_rows == 0:
         raise ValueError("cannot invert an empty triangle")
     head = T.rows[0][0]
     if head * head != 1:
         raise ValueError(f"t_(0,0) = {head} is not invertible; need +-1")
-    ring = T.row_polynomial_ring()
-    G = from_coeffs(ring, T.row_polynomials())
+    G = from_coeffs(QY, T.row_polynomials())
     reverted = G.mul_x().revert().div_x()
     return build_from_bgf(reverted, T.n_rows)
 
@@ -181,22 +174,10 @@ def apply_series(pair: RiordanPair, f: PowerSeries) -> PowerSeries:
 
 
 def row_sums(T: Triangle) -> list:
-    out = []
-    for row in T.rows:
-        acc = T.ring.zero()
-        for e in row:
-            acc = acc + e
-        out.append(T.ring.coerce(acc))
-    return out
+    """The sum of each row: its row polynomial at y = 1."""
+    return eval_rows(T, 1)
 
 
 def eval_rows(T: Triangle, y0) -> list:
     """Row polynomials evaluated at y0: sum_k t_{n,k} y0^k per row."""
-    y0 = T.ring.coerce(y0)
-    out = []
-    for row in T.rows:
-        acc = T.ring.zero()
-        for e in reversed(row):
-            acc = acc * y0 + e
-        out.append(T.ring.coerce(acc))
-    return out
+    return [p(y0) for p in T.row_polynomials()]

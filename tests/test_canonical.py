@@ -46,7 +46,7 @@ def series(draw, order, head=None):
 
 class TestRing:
     def test_constants_are_ints(self):
-        for v in (QQ.zero(), QQ.one(), QQ.from_int(7), QQ.from_int(True)):
+        for v in (QQ.zero(), QQ.one(), QQ.coerce(7), QQ.coerce(True)):
             assert type(v) is int
         assert type(QQ.coerce(True)) is int
         assert type(QQ.coerce(Fraction(6, 3))) is int

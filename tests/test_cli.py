@@ -116,6 +116,12 @@ class TestTriangleCommand:
         assert code == 0
         assert json.loads(out) == [["1"], ["a", "0"], ["a^2", "1", "0"], ["a^3", "2*a", "0", "0"]]
 
+    def test_gf_in_a_and_b_evaluates_rows_in_q_a(self, capsys):
+        code, out, err = run_cli(
+            capsys, "triangle", "--gf", "1/(1-a*x-b*x^2)", "--rows", "4", "--eval-at", "2"
+        )
+        assert (code, out, err) == (0, "1 a a^2+2 a^3+4*a\n", "")
+
     def test_gf_in_a_and_b_cannot_be_inverted(self, capsys):
         code, out, err = run_cli(
             capsys, "triangle", "--gf", "1/(1-a*x)", "--rows", "4", "--invert"
@@ -218,6 +224,11 @@ class TestSequenceCommand:
             "error: variables ['a', 'y'] do not fit one ring (y is exclusive of a, b) "
             "(at offset 2)\n"
         )
+
+    def test_reversion_of_zero_slope_is_a_clean_error(self, capsys):
+        code, out, err = run_cli(capsys, "sequence", "gf:rev(x^2)", "-n", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: reversion needs a nonzero coefficient of x (at offset 0)\n"
 
     def test_no_order_option(self, capsys):
         # the working order is the number of terms requested

@@ -360,11 +360,11 @@ class TestKernelInvariants:
     @given(rationals)
     def test_constant_hashes_like_its_fraction(self, c):
         for ring in (QY, QA, QAB):
-            p = ring.const(c)
+            p = ring.coerce(c)
             assert p == c and c == p
             assert hash(p) == hash(c)
-        assert QY.const(Fraction(1, 2)) == Fraction(1, 2)
-        assert QY.const(Fraction(1, 2)) != Fraction(1, 3)
+        assert QY.coerce(Fraction(1, 2)) == Fraction(1, 2)
+        assert QY.coerce(Fraction(1, 2)) != Fraction(1, 3)
 
     def test_mixed_denominators_cancel_to_denominator_1(self):
         y = QY.generator()
@@ -404,10 +404,10 @@ def numerators_over(ring, length):
                      st.lists(st.integers(-40, 40), max_size=length), st.integers(1, 12))
 
 
-qy_elements = st.one_of(st.just(QY.zero()), small_rationals.map(QY.const), numerators_over(QY, 6))
-qa_elements = st.one_of(st.just(QA.zero()), small_rationals.map(QA.const), numerators_over(QA, 4))
-qab_elements = st.one_of(st.just(QAB.zero()), small_rationals.map(QAB.const),
-                         qa_elements.map(QAB.const),
+qy_elements = st.one_of(st.just(QY.zero()), small_rationals.map(QY.coerce), numerators_over(QY, 6))
+qa_elements = st.one_of(st.just(QA.zero()), small_rationals.map(QA.coerce), numerators_over(QA, 4))
+qab_elements = st.one_of(st.just(QAB.zero()), small_rationals.map(QAB.coerce),
+                         qa_elements.map(QAB.coerce),
                          st.lists(qa_elements, max_size=4).map(QAB.poly))
 dot_rings = st.sampled_from([(QY, qy_elements), (QA, qa_elements), (QAB, qab_elements)])
 

@@ -1,5 +1,6 @@
 """Hankel transforms: determinant kernel, printed transforms, GF matching."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,13 @@ class TestHankelTransform:
     def test_h0_is_first_term(self, seq):
         m_max = (len(seq) - 1) // 2
         assert hankel_transform(seq, m_max)[0] == seq[0]
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.5")], ids=repr)
+    def test_terms_follow_q_coercion(self, bad):
+        with pytest.raises(TypeError, match=r"need rational terms; term 0 is "):
+            hankel_transform([bad, 1, 2], 1)
+        with pytest.raises(TypeError, match=r"need rational terms; term 0 is "):
+            determinant([[bad, 1], [1, 2]])
 
     def test_insufficient_terms(self):
         with pytest.raises(ValueError):

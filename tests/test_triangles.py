@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import known_values as kv
-from riordan.exact import QQ, QY, binomial, catalan, fibonacci, jacobsthal
+from riordan.exact import QA, QQ, QY, binomial, catalan, fibonacci, jacobsthal
 from riordan.families import (
     cf_coeff_triangle,
     cf_matrix,
@@ -19,6 +19,7 @@ from riordan.families import (
     pair_fib,
     pair_x_plus_x2,
 )
+from riordan.gfparse import eval_gf
 from riordan.series import from_coeffs, generator_series, x_series
 from riordan.triangles import (
     RiordanPair,
@@ -273,6 +274,11 @@ class TestRowOps:
         T = invert_triangle(cf_coeff_triangle(9))
         assert eval_rows(T, -1) == [1, -1, 2, 0, -2, 0, 4, 0, -10]
 
+    def test_row_sums_over_q_a(self):
+        T = build_from_bgf(eval_gf("1/(1-a*x-b*x^2)", 4), 4)
+        assert T.ring is QA
+        assert [str(s) for s in row_sums(T)] == ["1", "a", "a^2+1", "a^3+2*a"]
+
     def test_eval_rows_at_zero_gives_first_column(self):
         T = build_ordinary(pair_fib(8), 6)
         assert eval_rows(T, 0) == [row[0] for row in T.rows]
@@ -301,7 +307,7 @@ class TestTriangleType:
         assert T.to_csv() == str(big)
 
     def test_row_polynomials_share_qy(self):
-        assert Triangle(QQ, [[1]]).row_polynomial_ring() is QY
+        assert Triangle(QQ, [[1]]).row_polynomials()[0].ring is QY
 
     def test_immutable(self):
         T = Triangle(QQ, [[1]])

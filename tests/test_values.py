@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from riordan.exact import QA, QAB, QQ, QY
+from riordan.exact import QA, QAB, QQ, QY, PolynomialRing, RationalField
 from riordan.families import pair_fib
 from riordan.series import from_coeffs
 from riordan.triangles import Triangle
@@ -19,6 +19,7 @@ CASES = {
     "Riordan pair": (pair_fib(6), "d", "ring"),
     "QY": (QY, "base", "var"),
     "QQ": (QQ, "var", "var"),
+    "Q[a][y]": (PolynomialRing(QA, "y"), "base", "var"),
 }
 
 
@@ -35,10 +36,18 @@ def test_value_semantics(value, slot, attr):
     assert repr(value) == before
 
 
-@pytest.mark.parametrize("ring", [QQ, QY, QA, QAB], ids=repr)
+@pytest.mark.parametrize("ring", [QQ, QY, QA, QAB, PolynomialRing(QA, "y")], ids=repr)
 def test_named_rings_keep_their_identity(ring):
     for twin in (copy.copy(ring), copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
         assert twin is ring
+
+
+def test_one_ring_per_base_and_variable():
+    assert RationalField() is QQ
+    assert PolynomialRing(QQ, "y") is QY and PolynomialRing(QA, "b") is QAB
+    assert PolynomialRing(QA, "y") is PolynomialRing(QA, "y")
+    assert PolynomialRing(QA, "y") != PolynomialRing(QQ, "y")
+    assert hash(QY) == object.__hash__(QY)
 
 
 def test_copied_values_share_the_named_ring():
