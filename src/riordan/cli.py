@@ -3,22 +3,20 @@
 Output is deterministic byte-for-byte for fixed inputs.  Exact values render
 as decimal integers or "p/q"; polynomial entries use the same compact form as
 the library.  Exit status is 0 only when every requested computation or
-check succeeds.  Each command imports only the layers it runs: the
-expression parser, Hankel transform, verify suites and ``json`` load inside
-the branches that use them.
+check succeeds.  Each command imports only the layers it runs: every
+riordan module, and ``json``, loads inside the branch that uses it, so
+``import riordan.cli`` and ``--help`` load none, a ``gf:`` sequence loads
+the parser and the series and ring layers under it, and only named
+triangles, ``cf@``, ``dual-cf@`` and ``rowsums:`` load ``families``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
-from . import families
-from .exact import format_element, unlimited_int_digits
-from .triangles import Triangle, build_from_bgf, eval_rows, invert_triangle, row_sums
-
-TRIANGLE_HELP = f"{', '.join(families.TRIANGLES)}, cf@<rational>"
 FORMATS = ("table", "csv", "json", "bfile")
 
 
@@ -29,8 +27,10 @@ class CliError(Exception):
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad {what} {text!r}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise CliError(f"bad {what} {text!r}: zero denominator") from exc
 
 
 def resolve_triangle(spec: str | None, gf: str | None, rows: int) -> Triangle:
@@ -40,12 +40,17 @@ def resolve_triangle(spec: str | None, gf: str | None, rows: int) -> Triangle:
         raise CliError("--rows must be >= 1")
     if gf is not None:
         from .gfparse import eval_gf
+        from .triangles import build_from_bgf
 
         return build_from_bgf(eval_gf(gf, rows), rows)
+    from . import families
+
     if spec.startswith("cf@"):
         return families.cf_matrix(_parse_rational(spec[3:], "cf@ value"), rows)
     if spec not in families.TRIANGLES:
-        raise CliError(f"unknown triangle {spec!r}; names: {TRIANGLE_HELP}")
+        raise CliError(
+            f"unknown triangle {spec!r}; names: {', '.join(families.TRIANGLES)}, cf@<rational>"
+        )
     return families.TRIANGLES[spec](rows)
 
 
@@ -53,10 +58,14 @@ def resolve_sequence(spec: str, n_terms: int) -> list:
     if n_terms < 1:
         raise CliError("-n must be >= 1")
     if spec.startswith("dual-cf@"):
+        from . import families
+
         y0 = _parse_rational(spec[len("dual-cf@"):], "dual-cf@ value")
         polys = families.dual_cf_sequence(n_terms + 1)
         return [p(y0) for p in polys[1:]]
     if spec.startswith("rowsums:"):
+        from .triangles import row_sums
+
         T = resolve_triangle(spec[len("rowsums:"):], None, n_terms)
         return row_sums(T)
     if spec.startswith("hankel:"):
@@ -75,6 +84,8 @@ def resolve_sequence(spec: str, n_terms: int) -> list:
 
 
 def render_triangle(T: Triangle, fmt: str) -> str:
+    from .exact import format_element
+
     if fmt == "csv":
         return T.to_csv()
     if fmt == "json":
@@ -91,6 +102,8 @@ def render_triangle(T: Triangle, fmt: str) -> str:
 
 
 def render_sequence(values: list, fmt: str, offset: int) -> str:
+    from .exact import format_element
+
     cells = [format_element(v) for v in values]
     if fmt == "csv":
         return ",".join(cells)
@@ -143,7 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tri = sub.add_parser("triangle", help="print a coefficient triangle")
-    p_tri.add_argument("name", nargs="?", help=f"one of: {TRIANGLE_HELP}")
+    p_tri.add_argument(
+        "name", nargs="?", help="a named triangle (an unknown name lists them), or cf@<rational>"
+    )
     p_tri.add_argument(
         "--gf",
         help="bivariate generating function in x and y: row n is [x^n] as a polynomial "
@@ -171,33 +186,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout at the null device once a write to it failed, so that the
+    flush at interpreter exit has nothing left to fail on (the "Note on
+    SIGPIPE" in the ``signal`` module documentation)."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from .exact import unlimited_int_digits
+
+    ok = True
     try:
-        # exact values are read and printed whatever their number of digits
+        # exact values are read and rendered whatever their number of digits
         with unlimited_int_digits():
             if args.command == "triangle":
+                from .triangles import eval_rows, invert_triangle
+
                 T = resolve_triangle(args.name, args.gf, args.rows)
                 if args.invert:
                     T = invert_triangle(T)
                 if args.eval_at is not None:
                     values = eval_rows(T, _parse_rational(args.eval_at, "--eval-at value"))
-                    print(render_sequence(values, args.format, args.offset))
+                    text = render_sequence(values, args.format, args.offset)
                 else:
-                    print(render_triangle(T, args.format))
-                return 0
-            if args.command == "sequence":
+                    text = render_triangle(T, args.format)
+            elif args.command == "sequence":
                 values = resolve_sequence(args.spec, args.terms)
-                print(render_sequence(values, args.format, args.offset))
-                return 0
-            from . import verify
+                text = render_sequence(values, args.format, args.offset)
+            else:
+                from . import verify
 
-            text, ok = render_reports(verify.run(args.suite))
-            print(text)
-            return 0 if ok else 1
+                text, ok = render_reports(verify.run(args.suite))
     except (CliError, ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        # flushed here, so that a failed write is caught here
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early (``riordan ... | head``): no message
+        _silence_stdout()
+        return 1
+    except OSError as exc:
+        _silence_stdout()
+        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

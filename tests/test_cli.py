@@ -99,6 +99,16 @@ class TestTriangleCommand:
         code, _, err = run_cli(capsys, "triangle", "--gf", "1/(1-", "--rows", "3")
         assert code == 1 and "offset" in err
 
+    @pytest.mark.parametrize("argv, what", [
+        (("triangle", "cf@1/0"), "cf@ value"),
+        (("sequence", "dual-cf@1/0"), "dual-cf@ value"),
+        (("triangle", "fib", "--eval-at", "1/0"), "--eval-at value"),
+    ])
+    def test_zero_denominator_is_named(self, capsys, argv, what):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad {what} '1/0': zero denominator\n"
+
     def test_inversion_precondition_failure(self, capsys):
         code, _, err = run_cli(
             capsys, "triangle", "--gf", "2/(1-x)", "--rows", "3", "--invert"
@@ -298,6 +308,39 @@ class TestDeterminism:
         assert a == b
 
 
+class TestOutputErrors:
+    """A failed write to stdout is one clean exit 1, never a traceback."""
+
+    ARGV = ("sequence", "gf:1/(1-x)", "-n", "20000", "--format", "bfile")
+
+    @staticmethod
+    def run_with_stdout(stdout):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        return subprocess.run([sys.executable, "-m", "riordan.cli", *TestOutputErrors.ARGV],
+                              stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+
+    def test_reader_closed_early(self):
+        # the read end is closed before the command starts, so every write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run_with_stdout(write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            proc = self.run_with_stdout(full)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
 class TestImports:
     """Each command imports only the layers it runs; checked in a fresh
     interpreter, since this process has imported everything."""
@@ -313,7 +356,10 @@ class TestImports:
         # repr, not json: the probe must not load a module it reports on
         script = (
             "import sys\n"
-            f"{statement}\n"
+            "try:\n"
+            f"    {statement}\n"
+            "except SystemExit:\n"  # --help
+            "    pass\n"
             "print(repr([m for m in sys.modules"
             " if m.startswith('riordan') or m in ('dataclasses', 'json')]))\n"
         )
@@ -326,6 +372,13 @@ class TestImports:
 
     def test_package_import_loads_no_submodule(self):
         assert self.loaded_after("import riordan") == {"riordan"}
+
+    def test_cli_import_loads_no_layer(self):
+        assert self.loaded_after("import riordan.cli") == {"riordan", "riordan.cli"}
+
+    @pytest.mark.parametrize("argv", [("--help",), ("triangle", "-h")])
+    def test_help_loads_no_layer(self, argv):
+        assert self.cli_loads(*argv) == {"riordan", "riordan.cli"}
 
     @pytest.mark.parametrize("argv", [
         ("triangle", "fib", "--rows", "3"),
@@ -342,10 +395,20 @@ class TestImports:
         assert "json" not in self.cli_loads(*argv)
         assert "json" in self.cli_loads(*argv, "--format", "json")
 
-    def test_gf_loads_only_the_parser(self):
-        loaded = self.cli_loads("sequence", "gf:1/(1-x)", "-n", "3")
-        assert "riordan.gfparse" in loaded
-        assert not loaded & {"riordan.verify", "dataclasses"}
+    # no json and no dataclasses either: the probe reports those too
+    GF_LAYERS = {"riordan", "riordan.cli", "riordan._value", "riordan.exact", "riordan.series",
+                 "riordan.gfparse"}
+
+    def test_gf_sequence_loads_the_parser_and_its_layers_only(self):
+        assert self.cli_loads("sequence", "gf:1/(1-x)", "-n", "3") == self.GF_LAYERS
+
+    def test_hankel_of_gf_adds_only_hankel(self):
+        assert self.cli_loads("sequence", "hankel:gf:1/(1-x)", "-n", "3") == (
+            self.GF_LAYERS | {"riordan.hankel"})
+
+    def test_gf_triangle_skips_families(self):
+        loaded = self.cli_loads("triangle", "--gf", "1/(1-y*x-x^2)", "--rows", "3")
+        assert "riordan.triangles" in loaded and "riordan.families" not in loaded
 
 
 # ---------------------------------------------------------------------------
