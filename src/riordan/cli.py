@@ -190,7 +190,9 @@ def _silence_stdout() -> None:
     """Point stdout at the null device once a write to it failed, so that the
     flush at interpreter exit has nothing left to fail on (the "Note on
     SIGPIPE" in the ``signal`` module documentation)."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -221,6 +223,10 @@ def main(argv=None) -> int:
                 text, ok = render_reports(verify.run(args.suite))
     except (CliError, ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if sys.stdout is None:
+        # fd 1 was closed at startup, and print would drop the text silently
+        print("error: cannot write the output: stdout is closed", file=sys.stderr)
         return 1
     try:
         # flushed here, so that a failed write is caught here

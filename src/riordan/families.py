@@ -2,9 +2,11 @@
 generalized central pairs, and the several equivalent routes to the dual
 Fibonacci polynomials.
 
-Family indexing: the five Fibonacci-like families start at index 0 with the
-zero polynomial (family(0) = 0, family(1) = 1); coefficient triangles index
-rows from the degree-0 polynomial of index 1.
+A family's polynomials are the row polynomials of its ``TRIANGLES`` entry
+(row 0 is the constant 1), of ``cf_matrix(1, rows)`` for the Catalan-scaled
+family, or the coefficients of ``dual_cf_sequence`` and ``reciprocal_polys``.
+The four routes to the dual Fibonacci polynomials index from the zero
+polynomial instead: family(0) = 0, so family(n) is row n - 1.
 """
 
 from __future__ import annotations
@@ -16,17 +18,6 @@ from fractions import Fraction
 from .exact import QQ, QY, QA, QAB, Polynomial, binomial, catalan
 from .series import PowerSeries, from_coeffs, x_series, generator_series
 from .triangles import RiordanPair, Triangle, build_exponential
-
-FAMILY_NAMES = (
-    "fib",
-    "dual_fib",
-    "tilde_fib",
-    "tildetilde_fib",
-    "cf",
-    "dual_cf",
-    "reciprocal",
-)
-
 
 def _exact_int_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
@@ -69,15 +60,12 @@ def tilde_coeff(n: int, k: int) -> int:
 
 
 def tildetilde_coeff(n: int, k: int) -> int:
-    """Entries binom(n,2k) C_k (-1)^(n-k) of the inverted stretched array."""
-    if n < 0 or k < 0 or 2 * k > n:
-        raise IndexError(f"index ({n}, {k}) out of range (need 0 <= 2k <= n)")
+    """Entries binom(n,2k) C_k (-1)^(n-k) of the inverted stretched array,
+    zero where 2k > n."""
+    _check_indices(n, k)
+    if 2 * k > n:
+        return 0
     return binomial(n, 2 * k) * catalan(k) * (-1) ** (n - k)
-
-
-def _tildetilde_entry(n: int, k: int) -> int:
-    """Entry (n, k) of the tildetilde triangle: zero where 2k > n."""
-    return tildetilde_coeff(n, k) if 2 * k <= n else 0
 
 
 def a011973_coeff(n: int, k: int) -> int:
@@ -121,41 +109,12 @@ def _closed_form(entry):
     return lambda rows: Triangle(QQ, [[entry(n, k) for k in range(n + 1)] for n in range(rows)])
 
 
-# Closed-form entry (n, k) of the coefficient triangle of each family; row
-# n - 1 holds the coefficients of the family's n-th polynomial.
-_FAMILY_ENTRIES = {
-    "fib": fib_coeff,
-    "dual_fib": dual_fib_coeff,
-    "tilde_fib": tilde_coeff,
-    "tildetilde_fib": _tildetilde_entry,
-}
-
-
 def _cf_root(order: int) -> PowerSeries:
     """sqrt(1 - 4yx^2) - x over Q[y], to at least 2 terms."""
     n = max(order, 2)
     x = x_series(QY, n)
     y = generator_series(QY, "y", n)
     return (1 - 4 * y * x * x).sqrt() - x
-
-
-def family_poly(name: str, n: int) -> Polynomial:
-    """The n-th member of a named family, as a polynomial in y."""
-    if name not in FAMILY_NAMES:
-        raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
-    if n < 0:
-        raise ValueError(f"family index must be >= 0, got {n}")
-    if name == "dual_cf":
-        return dual_cf_sequence(n + 1)[n]
-    if name == "reciprocal":
-        return reciprocal_polys(n + 1)[n]
-    if n == 0:
-        return QY.zero()
-    m = n - 1
-    if name == "cf":  # Catalan-scaled Fibonacci polynomial
-        return catalan(m) * family_poly("fib", n)
-    entry = _FAMILY_ENTRIES[name]
-    return QY.poly([entry(m, k) for k in range(m + 1)])
 
 
 def _pochhammer(x: Fraction, j: int) -> Fraction:
@@ -288,16 +247,12 @@ TRIANGLES: dict[str, Callable[[int], Triangle]] = {
     "fib": _closed_form(fib_coeff),
     "dual-fib": _closed_form(dual_fib_coeff),
     "tilde": _closed_form(tilde_coeff),
-    "tildetilde": _closed_form(_tildetilde_entry),
+    "tildetilde": _closed_form(tildetilde_coeff),
     "a011973": _closed_form(a011973_coeff),
     "a111959": _closed_form(a111959_coeff),
     "i0-dual": _closed_form(i0_dual_coeff),
     "cf-coeff": _closed_form(cf_coeff),
 }
-
-# Entry (n,i) = C_n binom(n-i, i): row n lists the b-coefficients of
-# cf_coeffs(n) at a = 1.
-cf_coeff_triangle = TRIANGLES["cf-coeff"]
 
 
 # ---------------------------------------------------------------------------

@@ -336,17 +336,16 @@ def ring_for(node: Node):
     raise GfEvalError(f"variables {sorted(gens)} do not fit one ring (y is exclusive of a, b)", pos)
 
 
-def eval_ast(node: Node, order: int, ring=None) -> PowerSeries:
-    """Evaluate bottom-up to a series of ``order`` coefficients over ``ring``
-    (auto-chosen from the variables when omitted).  Series-domain failures
-    are re-raised with the source offset of the responsible node.
+def eval_ast(node: Node, order: int) -> PowerSeries:
+    """Evaluate bottom-up to a series of ``order`` coefficients over the
+    ring ``ring_for`` picks.  Series-domain failures are re-raised with the
+    source offset of the responsible node.
 
     Every operation is prefix-exact: coefficient n of a result depends only
     on coefficients 0..n of its inputs.  So the result is the first
     ``order`` coefficients at any larger working order.  The working order
     is at least 2, because ``rev`` needs the coefficient of x."""
-    if ring is None:
-        ring = ring_for(node)
+    ring = ring_for(node)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     work = max(order, 2)
@@ -379,7 +378,7 @@ def eval_ast(node: Node, order: int, ring=None) -> PowerSeries:
                 return arg.sqrt() if n.func == "sqrt" else arg.revert()
         except GfEvalError:
             raise
-        except (ValueError, ZeroDivisionError, KeyError, TypeError) as exc:
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise GfEvalError(str(exc), n.pos) from exc
         raise TypeError(f"not an AST node: {n!r}")
 
@@ -387,6 +386,6 @@ def eval_ast(node: Node, order: int, ring=None) -> PowerSeries:
     return series if work == order else series.truncate(order)
 
 
-def eval_gf(text: str, order: int, ring=None) -> PowerSeries:
+def eval_gf(text: str, order: int) -> PowerSeries:
     """Parse and evaluate in one step."""
-    return eval_ast(parse(text), order, ring)
+    return eval_ast(parse(text), order)

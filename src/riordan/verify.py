@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import families, paths
 from ._value import Value
-from .exact import QQ, QAB, binomial, catalan, fibonacci, jacobsthal
+from .exact import QQ, QY, QAB, binomial, catalan, fibonacci, jacobsthal
 from .hankel import hankel_transform
 from .series import from_coeffs, generator_series, x_series
 from .triangles import (
@@ -78,7 +78,8 @@ def duality_suite() -> SuiteReport:
             report,
             detail_on_pass=f"indices 0..{n_max}",
         )
-    accessor = tuple(families.family_poly("dual_fib", n) for n in range(n_max + 1))
+    # family(0) = 0, then the dual-fib rows as indices 1..n_max
+    accessor = (QY.zero(), *families.TRIANGLES["dual-fib"](n_max).row_polynomials())
     _compare_sequences(
         "closed-form accessor matches reversion route",
         accessor,
@@ -116,14 +117,13 @@ def duality_suite() -> SuiteReport:
 
     # Discrepancy 2: the terminating 2F1 form equals the matrix rows at even
     # index and is sign-flipped at odd index.
+    tilde_rows = families.TRIANGLES["tilde"](13).row_polynomials()
     sign_pattern = all(
-        families.tilde_poly_hypergeom(n)
-        == (-1) ** n * families.family_poly("tilde_fib", n + 1)
+        families.tilde_poly_hypergeom(n) == (-1) ** n * tilde_rows[n]
         for n in range(1, 13)
     )
     flipped_at_odd = any(
-        families.tilde_poly_hypergeom(n) != families.family_poly("tilde_fib", n + 1)
-        for n in range(1, 13, 2)
+        families.tilde_poly_hypergeom(n) != tilde_rows[n] for n in range(1, 13, 2)
     )
     report.add(
         "discrepancy documented: hypergeometric odd-index sign",

@@ -12,7 +12,7 @@ import known_values as kv
 from riordan import verify
 from riordan.exact import QQ, QY, binomial, catalan
 from riordan.families import (
-    cf_coeff_triangle,
+    TRIANGLES,
     cf_matrix,
     pair_a011973,
     pair_a111959,
@@ -78,7 +78,7 @@ def test_printed_matrix_reproduction():
         reverted = (x * ((1 - 4 * y * x * x).sqrt() - x)).revert().div_x()
         cf_coeff = build_from_bgf(reverted, 6)
         assert as_ints(cf_coeff) == kv.CF_COEFF_TRIANGLE
-        assert cf_coeff == cf_coeff_triangle(6)
+        assert cf_coeff == TRIANGLES["cf-coeff"](6)
         assert as_ints(invert_triangle(cf_coeff)) == kv.CF_COEFF_INVERSION
 
         assert as_ints(cf_matrix(Fraction(1), 6)) == kv.CF_MATRIX_B1

@@ -314,12 +314,13 @@ class TestOutputErrors:
     ARGV = ("sequence", "gf:1/(1-x)", "-n", "20000", "--format", "bfile")
 
     @staticmethod
-    def run_with_stdout(stdout):
+    def run_with_stdout(stdout, **kwargs):
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         return subprocess.run([sys.executable, "-m", "riordan.cli", *TestOutputErrors.ARGV],
-                              stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+                              stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
+                              **kwargs)
 
     def test_reader_closed_early(self):
         # the read end is closed before the command starts, so every write fails
@@ -339,6 +340,14 @@ class TestOutputErrors:
         assert proc.returncode != 0
         assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child before exec")
+    def test_stdout_closed(self):
+        # fd 1 is closed when the interpreter starts, so sys.stdout is None
+        # and print would drop the text without an error
+        proc = self.run_with_stdout(None, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write the output: stdout is closed\n"
 
 
 class TestImports:

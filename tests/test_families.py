@@ -7,9 +7,7 @@ import pytest
 import known_values as kv
 from riordan.exact import QA, QAB, QQ, QY, binomial, catalan
 from riordan.families import (
-    FAMILY_NAMES,
     TRIANGLES,
-    cf_coeff_triangle,
     cf_coeffs,
     cf_matrix,
     dual_cf_sequence,
@@ -18,7 +16,6 @@ from riordan.families import (
     dual_fib_polys_by_exponential,
     dual_fib_polys_by_laurent,
     dual_fib_polys_by_reversion,
-    family_poly,
     fib_coeff,
     pair_a011973,
     pair_a111959,
@@ -66,62 +63,63 @@ class TestCoefficients:
         assert tildetilde_coeff(4, 1) == -6
         assert tildetilde_coeff(5, 2) == -10
         assert tildetilde_coeff(0, 0) == 1
-        rows = [
-            [tildetilde_coeff(n, k) if 2 * k <= n else 0 for k in range(n + 1)]
-            for n in range(6)
-        ]
+        assert tildetilde_coeff(3, 2) == 0
+        rows = [[tildetilde_coeff(n, k) for k in range(n + 1)] for n in range(6)]
         assert rows == kv.TILDETILDE_TRIANGLE
 
     def test_index_validation(self):
-        for fn in (fib_coeff, dual_fib_coeff, tilde_coeff):
+        for fn in (fib_coeff, dual_fib_coeff, tilde_coeff, tildetilde_coeff):
             with pytest.raises(IndexError):
                 fn(3, 4)
             with pytest.raises(IndexError):
                 fn(-1, 0)
-        with pytest.raises(IndexError):
-            tildetilde_coeff(3, 2)
 
 
 class TestFamilyPolynomials:
+    """A family's polynomials are rows: of a TRIANGLES entry, of cf_matrix at
+    b = 1, or of the two series families."""
+
     def test_start_at_zero_then_one(self):
-        for name in FAMILY_NAMES:
-            if name == "reciprocal":
-                continue
-            assert family_poly(name, 0) == 0, name
-            assert family_poly(name, 1) == 1, name
-        assert family_poly("reciprocal", 0) == 1
+        for name in ("fib", "dual-fib", "tilde", "tildetilde"):
+            assert TRIANGLES[name](1).row_polynomials() == [1], name
+        assert cf_matrix(1, 1).row_polynomials() == [1]
+        # the dual routes and the dual-cf coefficients start at family(0) = 0
+        for route in (dual_fib_polys_by_reversion, dual_fib_polys_by_exponential,
+                      dual_fib_polys_by_laurent, dual_fib_polys_by_even_form):
+            assert route(2)[:2] == (0, 1), route.__name__
+        assert dual_cf_sequence(2) == [0, 1]
+        assert reciprocal_polys(1) == [1]
 
     @pytest.mark.parametrize(
         "name,frozen",
         [
             ("fib", kv.FIB_POLYS),
-            ("dual_fib", kv.DUAL_FIB_POLYS),
-            ("tilde_fib", kv.TILDE_FIB_POLYS),
-            ("tildetilde_fib", kv.TILDETILDE_FIB_POLYS),
+            ("dual-fib", kv.DUAL_FIB_POLYS),
+            ("tilde", kv.TILDE_FIB_POLYS),
+            ("tildetilde", kv.TILDETILDE_FIB_POLYS),
         ],
     )
     def test_against_frozen_lists(self, name, frozen):
-        for n, coeffs in enumerate(frozen):
-            assert family_poly(name, n) == QY.poly(coeffs), f"{name}({n})"
+        # the lists start at family(0) = 0, so family(n) is row n - 1
+        rows = TRIANGLES[name](len(frozen) - 1).row_polynomials()
+        assert [QY.zero(), *rows] == [QY.poly(c) for c in frozen]
 
     def test_named_examples(self):
         y = QY.generator()
-        assert family_poly("fib", 4) == y ** 3 + 2 * y
-        assert family_poly("tilde_fib", 4) == -(y ** 3) + 3 * y ** 2
-        assert family_poly("tildetilde_fib", 5) == 2 * y ** 2 - 6 * y + 1
+        assert TRIANGLES["fib"](4).row_polynomials()[3] == y ** 3 + 2 * y
+        assert TRIANGLES["tilde"](4).row_polynomials()[3] == -(y ** 3) + 3 * y ** 2
+        assert TRIANGLES["tildetilde"](5).row_polynomials()[4] == 2 * y ** 2 - 6 * y + 1
 
     def test_dual_cf_values(self):
         y = QY.generator()
-        assert family_poly("dual_cf", 3) == -2 * y
-        assert family_poly("dual_cf", 9) == -10 * y ** 4
+        polys = dual_cf_sequence(10)
+        assert polys[3] == -2 * y
+        assert polys[9] == -10 * y ** 4
 
     def test_cf_scaling_identity(self):
-        for n in range(13):
-            assert family_poly("cf", n + 1) == catalan(n) * family_poly("fib", n + 1)
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            family_poly("nope", 3)
+        cf_rows = cf_matrix(1, 13).row_polynomials()
+        fib_rows = TRIANGLES["fib"](13).row_polynomials()
+        assert cf_rows == [catalan(n) * p for n, p in enumerate(fib_rows)]
 
 
 class TestTriangleTable:
@@ -130,16 +128,6 @@ class TestTriangleTable:
         T = TRIANGLES[name](16)
         assert T.ring == QQ and T.n_rows == 16 and T.entry(0, 0) == 1
         assert invert_triangle(invert_triangle(T)) == T
-
-    @pytest.mark.parametrize(
-        "family,triangle",
-        [("fib", "fib"), ("dual_fib", "dual-fib"), ("tilde_fib", "tilde"),
-         ("tildetilde_fib", "tildetilde")],
-    )
-    def test_family_polynomials_are_the_table_rows(self, family, triangle):
-        T = TRIANGLES[triangle](12)
-        for n in range(1, 13):
-            assert family_poly(family, n).padded(n) == list(T.rows[n - 1]), n
 
 
 def cf_coeff_by_reversion(n_rows):
@@ -175,8 +163,9 @@ class TestHypergeometric:
         assert tilde_poly_hypergeom(3) == y ** 3 - 3 * y ** 2
 
     def test_sign_relation_to_matrix_rows(self):
+        tilde_rows = TRIANGLES["tilde"](16).row_polynomials()
         for n in range(16):
-            assert tilde_poly_hypergeom(n) == (-1) ** n * family_poly("tilde_fib", n + 1)
+            assert tilde_poly_hypergeom(n) == (-1) ** n * tilde_rows[n]
 
 
 class TestCfCoeffs:
@@ -279,7 +268,7 @@ class TestCfMatrices:
                     assert T.entry(n, k) == 0
 
     def test_coeff_triangle_printed(self):
-        assert [[int(e) for e in r] for r in cf_coeff_triangle(6).rows] == kv.CF_COEFF_TRIANGLE
+        assert [[int(e) for e in r] for r in TRIANGLES["cf-coeff"](6).rows] == kv.CF_COEFF_TRIANGLE
 
     def test_inversion_first_column(self):
         T = invert_triangle(cf_matrix(Fraction(1), 9))
@@ -336,9 +325,8 @@ class TestDualRoutes:
         assert tuple(a) == tuple(b) == tuple(c) == tuple(d)
 
     def test_routes_match_accessor(self):
-        a = dual_fib_polys_by_reversion(10)
-        for n in range(11):
-            assert a[n] == family_poly("dual_fib", n)
+        rows = TRIANGLES["dual-fib"](10).row_polynomials()
+        assert dual_fib_polys_by_reversion(10) == (QY.zero(), *rows)
 
     def test_laurent_normalization_is_exact(self):
         # the y^n-lifted sums must be divisible by y^n before shifting back

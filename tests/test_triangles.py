@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import known_values as kv
 from riordan.exact import QA, QQ, QY, binomial, catalan, fibonacci, jacobsthal
 from riordan.families import (
-    cf_coeff_triangle,
+    TRIANGLES,
     cf_matrix,
     pair_a011973,
     pair_a111959,
@@ -125,7 +125,7 @@ class TestInversion:
         assert rows_of(invert_triangle(T)) == kv.TILDETILDE_TRIANGLE
 
     def test_cf_coefficient_inversion(self):
-        assert rows_of(invert_triangle(cf_coeff_triangle(6))) == kv.CF_COEFF_INVERSION
+        assert rows_of(invert_triangle(TRIANGLES["cf-coeff"](6))) == kv.CF_COEFF_INVERSION
 
     def test_cf_matrix_inversion(self):
         assert rows_of(invert_triangle(cf_matrix(Fraction(1), 6))) == kv.CF_MATRIX_B1_INVERSION
@@ -267,11 +267,11 @@ class TestRowOps:
         assert row_sums(T) == [1] * 6
 
     def test_eval_rows_inverted_cf_at_1(self):
-        T = invert_triangle(cf_coeff_triangle(9))
+        T = invert_triangle(TRIANGLES["cf-coeff"](9))
         assert eval_rows(T, 1) == [1, -1, -2, 0, -2, 0, -4, 0, -10]
 
     def test_eval_rows_inverted_cf_at_minus_1(self):
-        T = invert_triangle(cf_coeff_triangle(9))
+        T = invert_triangle(TRIANGLES["cf-coeff"](9))
         assert eval_rows(T, -1) == [1, -1, 2, 0, -2, 0, 4, 0, -10]
 
     def test_row_sums_over_q_a(self):
