@@ -17,8 +17,7 @@ _EXPORTS = {
          "format_element", "jacobsthal"),
         "exact",
     ),
-    **dict.fromkeys(("GfEvalError", "ParseError", "eval_ast", "eval_gf", "parse", "to_text"),
-                    "gfparse"),
+    **dict.fromkeys(("GfEvalError", "ParseError", "eval_ast", "eval_gf", "parse"), "gfparse"),
     **dict.fromkeys(("determinant", "hankel_transform"), "hankel"),
     **dict.fromkeys(("PathClass", "count_paths", "count_tilings"), "paths"),
     **dict.fromkeys(("PowerSeries", "constant", "from_coeffs", "generator_series", "one",

@@ -1,7 +1,7 @@
 """The package's one immutable-value base.
 
 Every value type derives from ``Value``: the ring descriptors, polynomials,
-series, triangles, Riordan pairs, the ``gfparse`` nodes, path classes and
+series, triangles, Riordan pairs, the ``gfparse`` tokens, path classes and
 ``verify`` records.
 """
 
@@ -19,10 +19,10 @@ def _restore(cls, values):
 class Value:
     """An immutable value whose fields are its ``__slots__``.
 
-    Equality is type-exact and compares every field except ``pos``, a source
-    offset; hashing agrees with it.  The ring descriptors of ``exact`` are
-    the exception: there is one per ring, and they compare by identity.  Copies and pickles rebuild the stored
-    fields without calling the constructor, so they work whatever its
+    Equality is type-exact and compares every field; hashing agrees with
+    it.  The ring descriptors of ``exact`` are the exception: there is one
+    per ring, and they compare by identity.  Copies and pickles rebuild the
+    stored fields without calling the constructor, so they work whatever its
     signature.  Subclasses take their fields in slot order and pass them on
     to ``Value.__init__``, or set them with ``object.__setattr__``.
     """
@@ -43,7 +43,7 @@ class Value:
         return _restore, (type(self), tuple(getattr(self, name) for name in self.__slots__))
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__ if name != "pos")
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other is self:

@@ -11,6 +11,7 @@ polynomial instead: family(0) = 0, so family(n) is row n - 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from fractions import Fraction
@@ -258,6 +259,16 @@ TRIANGLES: dict[str, Callable[[int], Triangle]] = {
 # ---------------------------------------------------------------------------
 # Four independent routes to the dual Fibonacci polynomials.
 
+def _dual_route(route):
+    """``route`` run at n_max >= 2, where x has the two coefficients that
+    reversion and the exponential array need, and cut to indices 0..n_max."""
+    @functools.wraps(route)
+    def indices(n_max: int) -> tuple[Polynomial, ...]:
+        return route(max(n_max, 2))[:n_max + 1]
+    return indices
+
+
+@_dual_route
 def dual_fib_polys_by_reversion(n_max: int) -> tuple[Polynomial, ...]:
     """Indices 0..n_max via series reversion of x/(1 - yx - x^2) in x."""
     order = n_max + 1
@@ -267,12 +278,14 @@ def dual_fib_polys_by_reversion(n_max: int) -> tuple[Polynomial, ...]:
     return F.revert().coeffs
 
 
+@_dual_route
 def dual_fib_polys_by_exponential(n_max: int) -> tuple[Polynomial, ...]:
     """Indices 0..n_max via the exponential array [J_1(2x)/x, -x]."""
     T = build_exponential(pair_exp_j1(n_max), n_max)
     return (QY.zero(),) + tuple(T.row_polynomials())
 
 
+@_dual_route
 def dual_fib_polys_by_laurent(n_max: int) -> tuple[Polynomial, ...]:
     """Indices 0..n_max via sum_k t~_{n,k} y^(2k-n), normalized through y^n.
 
@@ -289,6 +302,7 @@ def dual_fib_polys_by_laurent(n_max: int) -> tuple[Polynomial, ...]:
     return tuple(out)
 
 
+@_dual_route
 def dual_fib_polys_by_even_form(n_max: int) -> tuple[Polynomial, ...]:
     """Indices 0..n_max via sum_k t~~_{n,k} y^(n-2k)."""
     out = [QY.zero()]

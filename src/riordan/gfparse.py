@@ -1,6 +1,6 @@
 """A small expression language for generating functions.
 
-Grammar (version 1, stable public interface):
+Grammar (version 1):
 
     expr   := ['-'] term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -15,18 +15,26 @@ integer exponent; rationals are written with '/'.  ``x`` is the series
 variable, y/a/b are coefficient-ring generators, ``rev`` is compositional
 reversion in x and ``sqrt`` the exact series square root.
 
-Parse errors carry the character offset of the offending token.
+``parse`` compiles text to a postfix program: a tuple of ``(op, offset,
+arg)`` instructions in which the operands of each operation come before
+it.  ``op`` is ``num`` or ``var`` (``arg`` is the integer or the variable
+name), ``neg``, one of ``+ - * /``, ``^`` (``arg`` is the exponent), or a
+function name; ``offset`` is the source offset of the token.
+``eval_ast`` runs a program on a stack of series.
 
-Nesting is bounded by MAX_DEPTH, so that no input can exhaust the
-interpreter's recursion stack: at most MAX_DEPTH parentheses and function
-calls may be open at once, and the parsed tree may be at most MAX_DEPTH
-nodes deep (a chain of n binary operators is n + 1 deep).  Deeper input
-raises ParseError at the offset where the limit is passed.
+Parse errors carry the character offset of the offending token, and all of
+them are raised before any evaluation.
+
+The parser recurses only into parentheses and function calls, and at most
+MAX_DEPTH of those may be open at once, so that no input can exhaust the
+interpreter's recursion stack; deeper input raises ParseError at the offset
+of the opening that passes the limit.  An operator chain is a loop, in the
+parser and on the stack, however long it is.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
 from ._value import Value
 from .exact import QQ, QY, QAB, unlimited_int_digits
@@ -35,9 +43,12 @@ from .series import PowerSeries, constant, x_series, generator_series
 VARIABLES = ("x", "y", "a", "b")
 FUNCTIONS = ("sqrt", "rev")
 
-GRAMMAR_VERSION = 1
-
 MAX_DEPTH = 100
+
+# (op, source offset, arg) instructions, each operation after its operands
+Program = tuple[tuple[str, int, object], ...]
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class ParseError(ValueError):
@@ -49,68 +60,11 @@ class ParseError(ValueError):
 
 
 class GfEvalError(ValueError):
-    """Evaluation error carrying the source offset of the failing node."""
+    """Evaluation error carrying the source offset of the failing operation."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
-
-
-# --- AST -------------------------------------------------------------------
-# ``pos`` is the source offset; it never participates in equality.
-
-class IntLit(Value):
-    __slots__ = ("value", "pos")
-
-    def __init__(self, value: int, pos: int = -1):
-        super().__init__(value, pos)
-
-
-class RatLit(Value):
-    __slots__ = ("value", "pos")
-
-    def __init__(self, value: Fraction, pos: int = -1):
-        if value.denominator == 1:
-            raise ValueError("integral RatLit; use IntLit")
-        super().__init__(value, pos)
-
-
-class Var(Value):
-    __slots__ = ("name", "pos")
-
-    def __init__(self, name: str, pos: int = -1):
-        super().__init__(name, pos)
-
-
-class Neg(Value):
-    __slots__ = ("operand", "pos")
-
-    def __init__(self, operand: Node, pos: int = -1):
-        super().__init__(operand, pos)
-
-
-class BinOp(Value):
-    __slots__ = ("op", "left", "right", "pos")
-
-    def __init__(self, op: str, left: Node, right: Node, pos: int = -1):  # op: + - * /
-        super().__init__(op, left, right, pos)
-
-
-class Pow(Value):
-    __slots__ = ("base", "exponent", "pos")
-
-    def __init__(self, base: Node, exponent: int, pos: int = -1):
-        super().__init__(base, exponent, pos)
-
-
-class Call(Value):
-    __slots__ = ("func", "arg", "pos")
-
-    def __init__(self, func: str, arg: Node, pos: int = -1):  # func: sqrt | rev
-        super().__init__(func, arg, pos)
-
-
-Node = IntLit | RatLit | Var | Neg | BinOp | Pow | Call
 
 
 # --- Lexer -----------------------------------------------------------------
@@ -120,6 +74,9 @@ class _Token(Value):
 
     def __init__(self, kind: str, text: str, pos: int):
         super().__init__(kind, text, pos)
+
+    def shown(self) -> str:
+        return self.text if self.kind != "end" else "end of input"
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -155,11 +112,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
+# --- Compiler --------------------------------------------------------------
+
+class _Compiler:
+    """Recursive descent that appends each operation after its operands."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
         self.open_parens = 0
+        self.code = []
 
     @property
     def current(self) -> _Token:
@@ -170,159 +132,95 @@ class _Parser:
         self.i += 1
         return tok
 
+    def at_op(self, ops: str) -> bool:
+        return self.current.kind == "op" and self.current.text in ops
+
     def expect_op(self, op: str) -> _Token:
-        tok = self.current
-        if tok.kind != "op" or tok.text != op:
-            shown = tok.text if tok.kind != "end" else "end of input"
-            raise ParseError(f"expected {op!r}, found {shown!r}", tok.pos)
+        if not self.at_op(op):
+            tok = self.current
+            raise ParseError(f"expected {op!r}, found {tok.shown()!r}", tok.pos)
         return self.advance()
 
-    def parse_expr(self) -> Node:
-        tok = self.current
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            node: Node = Neg(self.parse_term(), pos=tok.pos)
+    def expr(self) -> None:
+        if self.at_op("-"):
+            minus = self.advance()
+            self.term()
+            self.code.append(("neg", minus.pos, None))
         else:
-            node = self.parse_term()
-        while self.current.kind == "op" and self.current.text in "+-":
+            self.term()
+        while self.at_op("+-"):
             op = self.advance()
-            right = self.parse_term()
-            node = BinOp(op.text, node, right, pos=op.pos)
-        return node
+            self.term()
+            self.code.append((op.text, op.pos, None))
 
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while self.current.kind == "op" and self.current.text in "*/":
+    def term(self) -> None:
+        self.factor()
+        while self.at_op("*/"):
             op = self.advance()
-            right = self.parse_factor()
-            node = _fold_div(op.text, node, right, op.pos)
-        return node
+            self.factor()
+            self.code.append((op.text, op.pos, None))
 
-    def parse_factor(self) -> Node:
-        node = self.parse_atom()
-        if self.current.kind == "op" and self.current.text == "^":
+    def factor(self) -> None:
+        self.atom()
+        if self.at_op("^"):
             caret = self.advance()
             tok = self.current
             if tok.kind != "int":
-                shown = tok.text if tok.kind != "end" else "end of input"
                 raise ParseError(
-                    f"exponent must be a nonnegative integer literal, found {shown!r}",
+                    f"exponent must be a nonnegative integer literal, found {tok.shown()!r}",
                     tok.pos,
                 )
             self.advance()
-            node = Pow(node, int(tok.text), pos=caret.pos)
-        return node
+            self.code.append(("^", caret.pos, int(tok.text)))
 
-    def parse_atom(self) -> Node:
+    def atom(self) -> None:
         tok = self.current
         if tok.kind == "int":
             self.advance()
-            return IntLit(int(tok.text), pos=tok.pos)
-        if tok.kind == "name":
+            self.code.append(("num", tok.pos, int(tok.text)))
+        elif tok.kind == "name":
             self.advance()
             if tok.text in VARIABLES:
-                return Var(tok.text, pos=tok.pos)
-            if tok.text in FUNCTIONS:
-                return Call(tok.text, self.parse_parenthesized(self.expect_op("(")), pos=tok.pos)
-            raise ParseError(f"unknown name {tok.text!r}", tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            return self.parse_parenthesized(self.advance())
-        shown = tok.text if tok.kind != "end" else "end of input"
-        raise ParseError(f"expected a value, found {shown!r}", tok.pos)
+                self.code.append(("var", tok.pos, tok.text))
+            elif tok.text in FUNCTIONS:
+                self.parenthesized(self.expect_op("("))
+                self.code.append((tok.text, tok.pos, None))
+            else:
+                raise ParseError(f"unknown name {tok.text!r}", tok.pos)
+        elif self.at_op("("):
+            self.parenthesized(self.advance())
+        else:
+            raise ParseError(f"expected a value, found {tok.shown()!r}", tok.pos)
 
-    def parse_parenthesized(self, opener: _Token) -> Node:
+    def parenthesized(self, opener: _Token) -> None:
         """The expression after the consumed ``opener`` and its closing ')'."""
         self.open_parens += 1
         if self.open_parens > MAX_DEPTH:
             raise ParseError(f"more than {MAX_DEPTH} nested parentheses", opener.pos)
-        node = self.parse_expr()
+        self.expr()
         self.expect_op(")")
         self.open_parens -= 1
-        return node
 
 
-def _fold_div(op: str, left: Node, right: Node, pos: int) -> Node:
-    """Fold literal/literal into a rational literal so printing round-trips."""
-    if op == "/" and isinstance(right, IntLit) and isinstance(left, (IntLit, RatLit)):
-        lv = left.value if isinstance(left, RatLit) else Fraction(left.value)
-        if right.value != 0:
-            q = lv / right.value
-            return IntLit(int(q), pos=left.pos) if q.denominator == 1 else RatLit(q, pos=left.pos)
-    return BinOp(op, left, right, pos=pos)
-
-
-def parse(text: str) -> Node:
-    """Parse generating-function text into an AST.  Integer literals have
-    no digit limit."""
-    parser = _Parser(_tokenize(text))
+def parse(text: str) -> Program:
+    """Compile generating-function text to a postfix program.  Integer
+    literals have no digit limit."""
+    compiler = _Compiler(_tokenize(text))
     with unlimited_int_digits():
-        node = parser.parse_expr()
-    tok = parser.current
+        compiler.expr()
+    tok = compiler.current
     if tok.kind != "end":
         raise ParseError(f"unexpected {tok.text!r} after expression", tok.pos)
-    stack = [(node, 1)]
-    while stack:
-        n, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", n.pos)
-        stack.extend((child, depth + 1) for child in _children(n))
-    return node
+    return tuple(compiler.code)
 
 
-def _children(node: Node) -> tuple:
-    if isinstance(node, BinOp):
-        return (node.left, node.right)
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, Call):
-        return (node.arg,)
-    return ()
-
-
-def to_text(node: Node) -> str:
-    """Render an AST back to source, fully parenthesized; reparsing yields a
-    structurally identical tree.  Integer literals have no digit limit."""
-    with unlimited_int_digits():
-        return _render(node)
-
-
-def _render(node: Node) -> str:
-    if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, RatLit):
-        # parenthesized so neighbouring '*'/'/' cannot re-associate the literal
-        return f"({node.value.numerator}/{node.value.denominator})"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_render(node.operand)})"
-    if isinstance(node, BinOp):
-        return f"({_render(node.left)}{node.op}{_render(node.right)})"
-    if isinstance(node, Pow):
-        base = _render(node.base)
-        if isinstance(node.base, Pow):  # x^2^3 is not grammatical
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, Call):
-        return f"{node.func}({_render(node.arg)})"
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _var_nodes(node: Node) -> list[Var]:
-    """The variable occurrences, in source order."""
-    if isinstance(node, Var):
-        return [node]
-    return [v for child in _children(node) for v in _var_nodes(child)]
-
-
-def ring_for(node: Node):
+def _ring_for(program: Program):
     """Smallest supported coefficient ring for the variables that occur.
 
-    Mixing y with a or b is an error at the first variable that mixes them."""
-    occurrences = _var_nodes(node)
-    gens = {v.name for v in occurrences} - {"x"}
+    Mixing y with a or b is an error at the first variable that mixes them;
+    the ``var`` instructions are in source order."""
+    occurrences = [(pos, name) for op, pos, name in program if op == "var" and name != "x"]
+    gens = {name for _, name in occurrences}
     if not gens:
         return QQ
     if gens == {"y"}:
@@ -330,59 +228,47 @@ def ring_for(node: Node):
     if gens <= {"a", "b"}:
         return QAB
     pos = max(
-        next(v.pos for v in occurrences if v.name == "y"),
-        next(v.pos for v in occurrences if v.name in ("a", "b")),
+        next(pos for pos, name in occurrences if name == "y"),
+        next(pos for pos, name in occurrences if name != "y"),
     )
     raise GfEvalError(f"variables {sorted(gens)} do not fit one ring (y is exclusive of a, b)", pos)
 
 
-def eval_ast(node: Node, order: int) -> PowerSeries:
-    """Evaluate bottom-up to a series of ``order`` coefficients over the
-    ring ``ring_for`` picks.  Series-domain failures are re-raised with the
-    source offset of the responsible node.
+def eval_ast(program: Program, order: int) -> PowerSeries:
+    """Run ``program`` to a series of ``order`` coefficients over the
+    smallest ring of its variables.  Series-domain failures are re-raised
+    with the source offset of the failing instruction.
 
     Every operation is prefix-exact: coefficient n of a result depends only
     on coefficients 0..n of its inputs.  So the result is the first
     ``order`` coefficients at any larger working order.  The working order
     is at least 2, because ``rev`` needs the coefficient of x."""
-    ring = ring_for(node)
+    ring = _ring_for(program)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     work = max(order, 2)
-
-    def ev(n: Node) -> PowerSeries:
+    stack = []
+    for op, pos, arg in program:
         try:
-            if isinstance(n, IntLit):
-                return constant(ring, n.value, work)
-            if isinstance(n, RatLit):
-                return constant(ring, n.value, work)
-            if isinstance(n, Var):
-                if n.name == "x":
-                    return x_series(ring, work)
-                return generator_series(ring, n.name, work)
-            if isinstance(n, Neg):
-                return -ev(n.operand)
-            if isinstance(n, BinOp):
-                left, right = ev(n.left), ev(n.right)
-                if n.op == "+":
-                    return left + right
-                if n.op == "-":
-                    return left - right
-                if n.op == "*":
-                    return left * right
-                return left / right
-            if isinstance(n, Pow):
-                return ev(n.base) ** n.exponent
-            if isinstance(n, Call):
-                arg = ev(n.arg)
-                return arg.sqrt() if n.func == "sqrt" else arg.revert()
-        except GfEvalError:
-            raise
+            if op == "num":
+                value = constant(ring, arg, work)
+            elif op == "var":
+                value = x_series(ring, work) if arg == "x" else generator_series(ring, arg, work)
+            elif op == "neg":
+                value = -stack.pop()
+            elif op == "^":
+                value = stack.pop() ** arg
+            elif op == "sqrt":
+                value = stack.pop().sqrt()
+            elif op == "rev":
+                value = stack.pop().revert()
+            else:
+                right = stack.pop()
+                value = _BINARY[op](stack.pop(), right)
         except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise GfEvalError(str(exc), n.pos) from exc
-        raise TypeError(f"not an AST node: {n!r}")
-
-    series = ev(node)
+            raise GfEvalError(str(exc), pos) from exc
+        stack.append(value)
+    (series,) = stack
     return series if work == order else series.truncate(order)
 
 

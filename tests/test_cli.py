@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 import known_values as kv
 from riordan.cli import main
 from riordan.families import TRIANGLES
-from riordan.gfparse import FUNCTIONS, VARIABLES
 from riordan.verify import SUITE_NAMES
+from strategies import gf_texts
 
 
 def run_cli(capsys, *argv):
@@ -210,15 +210,19 @@ class TestSequenceCommand:
         assert code == 1 and "unknown sequence" in err
 
     @pytest.mark.parametrize(
-        "gf",
-        ["(" * 3000 + "x" + ")" * 3000, "sqrt(" * 3000 + "x" + ")" * 3000, "+".join(["x"] * 3000)],
-        ids=["parentheses", "calls", "chain"],
+        "gf,offset",
+        [("(" * 3000 + "x" + ")" * 3000, 100), ("sqrt(" * 3000 + "x" + ")" * 3000, 504)],
+        ids=["parentheses", "calls"],
     )
-    def test_deep_nesting_is_a_clean_error(self, capsys, gf):
+    def test_deep_nesting_is_a_clean_error(self, capsys, gf, offset):
         code, out, err = run_cli(capsys, "sequence", f"gf:{gf}", "-n", "3")
-        assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "offset" in err and "Traceback" not in err
+        assert (code, out) == (1, "")
+        assert err == f"error: more than 100 nested parentheses (at offset {offset})\n"
+
+    def test_long_chain_evaluates(self, capsys):
+        # the nesting limit counts open parentheses and calls, not operators
+        code, out, err = run_cli(capsys, "sequence", "gf:" + "+".join(["x"] * 3000), "-n", "3")
+        assert (code, out, err) == (0, "0 3000 0\n", "")
 
     @pytest.mark.parametrize("gf", ["1/(1-y*x)", "1/(1-a*x)"])
     def test_hankel_of_polynomial_terms_is_a_clean_error(self, capsys, gf):
@@ -308,6 +312,20 @@ class TestDeterminism:
         assert a == b
 
 
+def child_env():
+    """The environment of a child interpreter: ``src`` first on its path, and
+    this interpreter's dev mode and warning filters, so that a resource the
+    CLI leaks fails a run under ``-X dev -W error::ResourceWarning``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    if sys.flags.dev_mode:
+        env["PYTHONDEVMODE"] = "1"
+    if sys.warnoptions:
+        env["PYTHONWARNINGS"] = ",".join(sys.warnoptions)
+    return env
+
+
 class TestOutputErrors:
     """A failed write to stdout is one clean exit 1, never a traceback."""
 
@@ -315,11 +333,8 @@ class TestOutputErrors:
 
     @staticmethod
     def run_with_stdout(stdout, **kwargs):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         return subprocess.run([sys.executable, "-m", "riordan.cli", *TestOutputErrors.ARGV],
-                              stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
+                              stdout=stdout, stderr=subprocess.PIPE, env=child_env(), text=True,
                               **kwargs)
 
     def test_reader_closed_early(self):
@@ -359,9 +374,6 @@ class TestImports:
 
     @staticmethod
     def loaded_after(statement):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         # repr, not json: the probe must not load a module it reports on
         script = (
             "import sys\n"
@@ -372,8 +384,9 @@ class TestImports:
             "print(repr([m for m in sys.modules"
             " if m.startswith('riordan') or m in ('dataclasses', 'json')]))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+        proc = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                               text=True, check=True)
+        assert proc.stderr == ""
         return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
     def cli_loads(self, *argv):
@@ -426,22 +439,6 @@ class TestImports:
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str)
 values = st.one_of(rationals, st.sampled_from(["", "x", "1/0", "--1"]))
-
-
-@st.composite
-def gf_texts(draw, depth=3):
-    """Expressions over x, y, a, b with sqrt and rev, at most depth deep."""
-    if depth == 0 or draw(st.integers(0, 3)) == 0:
-        return draw(st.one_of(st.sampled_from(VARIABLES), st.integers(0, 9).map(str)))
-    kind = draw(st.sampled_from(["binop", "binop", "call", "call", "pow", "neg"]))
-    inner = gf_texts(depth - 1)
-    if kind == "binop":
-        return f"({draw(inner)}{draw(st.sampled_from('+-*/'))}{draw(inner)})"
-    if kind == "pow":
-        return f"({draw(inner)})^{draw(st.integers(0, 5))}"
-    if kind == "call":
-        return f"{draw(st.sampled_from(FUNCTIONS))}({draw(inner)})"
-    return f"(-{draw(inner)})"
 
 
 @st.composite

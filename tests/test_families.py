@@ -86,7 +86,8 @@ class TestFamilyPolynomials:
         # the dual routes and the dual-cf coefficients start at family(0) = 0
         for route in (dual_fib_polys_by_reversion, dual_fib_polys_by_exponential,
                       dual_fib_polys_by_laurent, dual_fib_polys_by_even_form):
-            assert route(2)[:2] == (0, 1), route.__name__
+            for n_max, start in ((0, (0,)), (1, (0, 1)), (2, (0, 1, QY.poly([0, -1])))):
+                assert route(n_max) == start, (route.__name__, n_max)
         assert dual_cf_sequence(2) == [0, 1]
         assert reciprocal_polys(1) == [1]
 

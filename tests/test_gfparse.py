@@ -1,7 +1,5 @@
-"""Expression language: grammar, printing round trip, error offsets."""
+"""Expression language: precedence by value, the postfix program, error offsets."""
 
-import copy
-import pickle
 import sys
 from fractions import Fraction
 
@@ -9,53 +7,61 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from riordan.exact import QAB, QQ, QY
-from riordan.gfparse import (
-    MAX_DEPTH,
-    BinOp,
-    Call,
-    GfEvalError,
-    IntLit,
-    Neg,
-    ParseError,
-    Pow,
-    RatLit,
-    Var,
-    eval_gf,
-    parse,
-    ring_for,
-    to_text,
-)
+from riordan.gfparse import MAX_DEPTH, GfEvalError, ParseError, eval_gf, parse
+from strategies import one_ring_gf_texts
+
+
+def coeffs(text, order=4):
+    return eval_gf(text, order).coeffs
 
 
 class TestParsing:
     def test_variable(self):
-        assert parse("x") == Var("x")
+        assert coeffs("x") == (0, 1, 0, 0)
+
+    def test_program_is_postfix(self):
+        # each operation after its operands, with the offset of its token
+        assert parse("-1+x*y^2") == (
+            ("num", 1, 1), ("neg", 0, None), ("var", 3, "x"), ("var", 5, "y"),
+            ("^", 6, 2), ("*", 4, None), ("+", 2, None),
+        )
+        assert parse(" sqrt((x))") == (("var", 7, "x"), ("sqrt", 1, None))
 
     def test_fibonacci_gf(self):
-        ast = parse("1/(1-y*x-x^2)")
-        assert ast == BinOp(
-            "/",
-            IntLit(1),
-            BinOp("-", BinOp("-", IntLit(1), BinOp("*", Var("y"), Var("x"))), Pow(Var("x"), 2)),
+        assert coeffs("1/(1-y*x-x^2)") == tuple(
+            QY.poly(c) for c in ([1], [0, 1], [1, 0, 1], [0, 2, 0, 1])
         )
 
     def test_dual_cf_gf(self):
-        ast = parse("x*(sqrt(1-4*y*x^2)-x)")
-        inner = BinOp(
-            "-",
-            IntLit(1),
-            BinOp("*", BinOp("*", IntLit(4), Var("y")), Pow(Var("x"), 2)),
+        # sqrt(1 - 4yx^2) = 1 - 2yx^2 - 2y^2x^4 - ...
+        assert coeffs("x*(sqrt(1-4*y*x^2)-x)", 6) == (
+            0, 1, -1, QY.poly([0, -2]), 0, QY.poly([0, 0, -2])
         )
-        assert ast == BinOp("*", Var("x"), BinOp("-", Call("sqrt", inner), Var("x")))
 
     def test_leading_minus(self):
-        assert parse("-x") == Neg(Var("x"))
+        assert coeffs("-x") == (0, -1, 0, 0)
+        assert coeffs("-x^2") == (0, 0, -1, 0)  # the power binds first
+        assert coeffs("-x+1") == (1, -1, 0, 0)  # the minus reaches the first term only
+        assert coeffs("-2*x-1") == (-1, -2, 0, 0)  # a whole first term
+
+    def test_operators_associate_left(self):
+        assert coeffs("1-x-x") == (1, -2, 0, 0)
+        assert coeffs("2/3/4") == (Fraction(1, 6), 0, 0, 0)
+        assert coeffs("x/2*3") == (0, Fraction(3, 2), 0, 0)
+        assert coeffs("1-x+x") == (1, 0, 0, 0)
+
+    def test_precedence(self):
+        assert coeffs("1+2*x^2") == (1, 0, 2, 0)
+        assert coeffs("(1+2*x)^2") == (1, 4, 4, 0)
+        assert coeffs("1+x/2") == (1, Fraction(1, 2), 0, 0)
+        assert coeffs("2*x^2/4") == (0, 0, Fraction(1, 2), 0)
 
     def test_rational_literal_folding(self):
-        assert parse("1/2") == RatLit(Fraction(1, 2))
-        assert parse("4/2") == IntLit(2)  # integral quotients normalize down
-        assert parse("1/(2)") == RatLit(Fraction(1, 2))  # parens are transparent
-        assert parse("1/x") == BinOp("/", IntLit(1), Var("x"))
+        assert coeffs("1/2") == (Fraction(1, 2), 0, 0, 0)
+        assert coeffs("4/2") == (2, 0, 0, 0)  # integral quotients are ints
+        assert type(coeffs("4/2")[0]) is int
+        assert coeffs("1/(2)") == (Fraction(1, 2), 0, 0, 0)  # parens are transparent
+        assert coeffs("1/(1-x)") == (1, 1, 1, 1)
 
     def test_no_implicit_multiplication(self):
         with pytest.raises(ParseError):
@@ -65,50 +71,23 @@ class TestParsing:
         # 5001 digits: past the 4300-digit default of Python's int <-> str limit
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         sevens = 7 * (10**5001 - 1) // 9
-        assert parse("7" * 5001) == IntLit(sevens)
-        assert parse("7" * 5001 + "/7") == IntLit(sevens // 7)
+        assert parse("7" * 5001) == (("num", 0, sevens),)
+        assert eval_gf("7" * 5001 + "/7", 1).coeffs == (sevens // 7,)
+        assert eval_gf("(" + "7" * 5001 + "/2)", 1).coeffs == (Fraction(sevens, 2),)
         assert eval_gf("7" * 5001 + "*x", 2).coeffs == (0, sevens)
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
 
-
     def test_nesting_up_to_the_limit(self):
-        assert parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH) == Var("x")
+        assert parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH) == (("var", MAX_DEPTH, "x"),)
         calls = "sqrt(" * (MAX_DEPTH - 1) + "1" + ")" * (MAX_DEPTH - 1)
         assert eval_gf(calls, 3).coeffs == (1, 0, 0)
-        chain = "+".join(["x"] * MAX_DEPTH)  # MAX_DEPTH - 1 operators
-        assert eval_gf(chain, 3).coeffs == (0, MAX_DEPTH, 0)
 
-
-class TestNodes:
-    def test_equality_ignores_position(self):
-        assert Var("x", pos=0) == Var("x", pos=5)
-        assert hash(Var("x", pos=0)) == hash(Var("x", pos=5))
-        assert len({parse("x+1"), parse(" x + 1"), BinOp("+", Var("x"), IntLit(1))}) == 1
-        assert Var("x") != Var("y")
-
-    def test_equality_is_type_exact(self):
-        assert IntLit(2) != Var(2)
-        assert Neg(IntLit(1)) != Call("sqrt", IntLit(1))
-
-    def test_immutable(self):
-        node = parse("x^2")
-        with pytest.raises(AttributeError):
-            node.exponent = 3
-        with pytest.raises(AttributeError):
-            del node.base
-        assert node == Pow(Var("x"), 2)
-
-    def test_copies_keep_every_field(self):
-        node = parse("1/2 - sqrt(x)")
-        for twin in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
-            assert twin == node and twin.pos == node.pos and twin.right.pos == node.right.pos
-
-    def test_integral_rational_literal_refused(self):
-        with pytest.raises(ValueError):
-            RatLit(Fraction(2))
-
-    def test_repr_names_every_field(self):
-        assert repr(parse("-y")) == "Neg(operand=Var(name='y', pos=1), pos=0)"
+    def test_long_chains_evaluate(self):
+        # MAX_DEPTH bounds open parentheses and calls only, not operators
+        assert eval_gf("+".join(["x"] * 3000), 3).coeffs == (0, 3000, 0)
+        assert eval_gf("*".join(["(1+x)"] * 3000), 3).coeffs == (1, 3000, 3000 * 2999 // 2)
+        nested = "(" * MAX_DEPTH + "-".join(["x"] * 200) + ")" * MAX_DEPTH
+        assert eval_gf(nested, 3).coeffs == (0, -198, 0)
 
 
 class TestEvaluation:
@@ -132,11 +111,11 @@ class TestEvaluation:
         assert [int(c) for c in s.coeffs] == [2, 0, 0, 0]
 
     def test_ring_autodetection(self):
-        assert ring_for(parse("1/(1-x)")) == QQ
-        assert ring_for(parse("1/(1-y*x)")) == QY
-        assert ring_for(parse("a*x+b")) == QAB
+        assert eval_gf("1/(1-x)", 3).ring is QQ
+        assert eval_gf("1/(1-y*x)", 3).ring is QY
+        assert eval_gf("a*x+b", 3).ring is QAB
         with pytest.raises(GfEvalError):
-            ring_for(parse("y+a"))
+            eval_gf("y+a", 3)
 
     def test_evaluation_errors_carry_positions(self):
         with pytest.raises(GfEvalError) as exc:
@@ -179,86 +158,6 @@ class TestEvaluation:
         assert eval_gf("sqrt(1-4*x-16*x^2)", 12) == (1 - 4 * xq - 16 * xq * xq).sqrt()
 
 
-# Random parser-shaped ASTs: positions default to -1 and never affect equality.
-_leaves = st.one_of(
-    st.integers(0, 9).map(IntLit),
-    st.sampled_from(["x", "y", "a", "b"]).map(Var),
-    st.tuples(st.integers(1, 30), st.integers(2, 9))
-    .map(lambda t: Fraction(*t))
-    .filter(lambda q: q.denominator > 1)
-    .map(RatLit),
-)
-
-
-def _is_parser_shape(node):
-    # the parser folds literal/literal division into a single literal node
-    return not (
-        isinstance(node, BinOp)
-        and node.op == "/"
-        and isinstance(node.left, (IntLit, RatLit))
-        and isinstance(node.right, IntLit)
-        and node.right.value != 0
-    )
-
-
-def _compose(children):
-    return st.one_of(
-        children,
-        st.tuples(children).map(lambda t: Neg(t[0])),
-        st.tuples(st.sampled_from("+-*/"), children, children)
-        .map(lambda t: BinOp(t[0], t[1], t[2]))
-        .filter(_is_parser_shape),
-        st.tuples(children, st.integers(0, 5)).map(lambda t: Pow(t[0], t[1])),
-        st.tuples(st.sampled_from(["sqrt", "rev"]), children).map(
-            lambda t: Call(t[0], t[1])
-        ),
-    )
-
-
-asts = st.recursive(_leaves, _compose, max_leaves=12)
-
-
-class TestRoundTrip:
-    @settings(max_examples=200, deadline=None)
-    @given(asts)
-    def test_print_parse_identity(self, ast):
-        assert parse(to_text(ast)) == ast
-
-    def test_examples(self):
-        for text in ("1/(1-y*x-x^2)", "x*(sqrt(1-4*y*x^2)-x)", "rev(x/(1-y*x-x^2))"):
-            ast = parse(text)
-            assert parse(to_text(ast)) == ast
-
-    def test_past_the_int_string_limit(self):
-        # 5001 digits: past the 4300-digit default of Python's int <-> str limit
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        for text in ("7" * 5001, "(" + "7" * 5001 + "/2)"):
-            ast = parse(text)
-            assert to_text(ast) == text
-            assert parse(to_text(ast)) == ast
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
-
-
-def _one_ring_asts(generators):
-    leaves = st.one_of(
-        st.integers(0, 9).map(IntLit),
-        st.sampled_from(("x",) + generators).map(Var),
-        st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]).map(RatLit),
-    )
-    return st.recursive(leaves, _compose_with_reversions, max_leaves=8)
-
-
-def _compose_with_reversions(children):
-    # rev(x + x^2*e) always has a unit coefficient of x, so it can be reverted
-    reversible = children.map(
-        lambda e: Call("rev", BinOp("+", Var("x"), BinOp("*", Pow(Var("x"), 2), e)))
-    )
-    return st.one_of(_compose(children), reversible)
-
-
-# Random expressions over Q, Q[y] or Q[a][b].
-gf_asts = st.sampled_from([(), ("y",), ("a", "b")]).flatmap(_one_ring_asts)
-
 WORKING_ORDER = 10
 
 
@@ -272,11 +171,10 @@ def _evaluated(text, order):
 
 class TestPrefixExactness:
     @settings(max_examples=200, deadline=None)
-    @given(gf_asts, st.integers(1, WORKING_ORDER))
-    @example(parse("rev(x-x^2)"), 1)
-    @example(parse("sqrt(1+x)/rev(2*x+y*x^2)"), 1)
-    def test_first_terms_do_not_depend_on_the_order(self, ast, k):
-        text = to_text(ast)
+    @given(one_ring_gf_texts, st.integers(1, WORKING_ORDER))
+    @example("rev(x-x^2)", 1)
+    @example("sqrt(1+x)/rev(2*x+y*x^2)", 1)
+    def test_first_terms_do_not_depend_on_the_order(self, text, k):
         full = _evaluated(text, WORKING_ORDER)
         part = _evaluated(text, k)
         if isinstance(full, str):
@@ -309,7 +207,6 @@ BAD_INPUTS = [
     ("xé", 1),
     ("(" * 101 + "x" + ")" * 101, 100),
     ("sqrt(" * 101 + "x" + ")" * 101, 504),
-    ("+".join(["x"] * 101), 2),
 ]
 
 
@@ -324,3 +221,9 @@ class TestBadInputs:
         for text, _ in BAD_INPUTS:
             with pytest.raises(ParseError):
                 parse(text)
+
+    def test_parse_errors_come_before_evaluation(self):
+        # 1/0 and y*a fail only when evaluated; the syntax error wins
+        for text in ("1/0+", "y*a)", "rev(x^2)(x)"):
+            with pytest.raises(ParseError):
+                eval_gf(text, 3)
