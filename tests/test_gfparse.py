@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from riordan.exact import QAB, QQ, QY
+from riordan.exact import QAB, QQ, QY, unlimited_int_digits
 from riordan.gfparse import MAX_DEPTH, GfEvalError, ParseError, eval_gf, parse
 from strategies import one_ring_gf_texts
 
@@ -88,6 +88,20 @@ class TestParsing:
         assert eval_gf("*".join(["(1+x)"] * 3000), 3).coeffs == (1, 3000, 3000 * 2999 // 2)
         nested = "(" * MAX_DEPTH + "-".join(["x"] * 200) + ")" * MAX_DEPTH
         assert eval_gf(nested, 3).coeffs == (0, -198, 0)
+
+
+class TestRoundTrip:
+    def test_past_the_int_string_limit(self):
+        # 5001 digits: past the 4300-digit default of Python's int <-> str limit;
+        # a value read from a literal prints back as that literal and reads again
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        for text in ("7" * 5001, "(" + "7" * 5001 + "/2)"):
+            (value,) = eval_gf(text, 1).coeffs
+            with unlimited_int_digits():
+                printed = str(value)
+            assert printed == text.strip("()")
+            assert eval_gf(printed, 1).coeffs == (value,)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
 
 
 class TestEvaluation:
