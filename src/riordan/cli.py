@@ -86,13 +86,15 @@ def resolve_sequence(spec: str, n_terms: int) -> list:
 def render_triangle(T: Triangle, fmt: str) -> str:
     from .exact import format_element
 
-    if fmt == "csv":
-        return T.to_csv()
-    if fmt == "json":
-        return T.to_json()
     if fmt == "bfile":
         raise CliError("bfile applies only to single sequences")
     cells = [[format_element(e) for e in row] for row in T.rows]
+    if fmt == "csv":
+        return "\n".join(",".join(row) for row in cells)
+    if fmt == "json":
+        import json
+
+        return json.dumps(cells)
     widths = [0] * T.n_rows
     for row in cells:
         for j, cell in enumerate(row):

@@ -442,6 +442,8 @@ class Polynomial(Value):
 
     def shift_down(self, k: int) -> "Polynomial":
         """Exact division by var^k; raises unless divisible."""
+        if k < 0:
+            raise ValueError(f"shift must be >= 0, got {k}")
         for c in self._c[:k]:
             if c:
                 raise ValueError(f"{self} is not divisible by {self.ring.var}^{k}")

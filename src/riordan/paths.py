@@ -8,7 +8,8 @@ grand variant may.  Nothing is enumerated path by path.  Paths are counted
 by one cached dynamic program per variant and statistic over (steps
 remaining, height), whose state holds the counts for every statistic value
 at once, so the counts of all k and all shorter lengths share it.  Tilings
-are a memoized recursion over (cells remaining, squares so far).
+are counted the same way: one cached program over the board length holds
+the counts for every number of squares.
 
 ``MAX_PATH_LENGTH`` and ``MAX_BOARD_LENGTH`` bound the lengths the oracles
 accept, a little above the lengths the ``paths`` suite and the tests check
@@ -85,29 +86,31 @@ def count_paths(cls: PathClass, n: int, k: int) -> int:
     return counts[k] if k < len(counts) else 0
 
 
-def count_tilings(n: int, k: int) -> int:
-    """Tilings of a 1 x n board by dominoes and exactly k unit squares.
+@cache
+def _tiling_counts(n: int) -> tuple[int, ...]:
+    """Entry k counts the tilings of a 1 x n board with exactly k squares.
 
-    A memoized recursion over (cells remaining, squares so far), placing the
-    leftmost tile first: a square or a domino.
+    The leftmost tile is a square, which adds 1 to the count of the rest,
+    or a domino; a board of negative length has no tilings.
     """
+    if n < 0:
+        return ()
+    if n == 0:
+        return (1,)
+    out = [0] * (n + 1)
+    for rest, weight in ((n - 1, 1), (n - 2, 0)):
+        for k, ways in enumerate(_tiling_counts(rest), weight):
+            out[k] += ways
+    return tuple(out)
+
+
+def count_tilings(n: int, k: int) -> int:
+    """Tilings of a 1 x n board by dominoes and exactly k unit squares:
+    entry k of the cached counts of every square number (see
+    ``_tiling_counts``)."""
     if n < 0 or n > MAX_BOARD_LENGTH:
         raise ValueError(f"board length must be in 0..{MAX_BOARD_LENGTH}, got {n}")
     if k < 0:
         raise ValueError(f"square count must be >= 0, got {k}")
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(rem: int, squares: int) -> int:
-        if squares > k or rem < 0:
-            return 0
-        if rem == 0:
-            return 1 if squares == k else 0
-        key = (rem, squares)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = rec(rem - 1, squares + 1) + rec(rem - 2, squares)
-        memo[key] = total
-        return total
-
-    return rec(n, 0)
+    counts = _tiling_counts(n)
+    return counts[k] if k < len(counts) else 0

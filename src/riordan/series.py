@@ -43,6 +43,8 @@ class PowerSeries(Value):
         return self.coeffs[n]
 
     def truncate(self, order: int) -> "PowerSeries":
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
         if order > len(self.coeffs):
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return PowerSeries(self.ring, self.coeffs[:order])

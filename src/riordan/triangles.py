@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from ._value import Value
-from .exact import QQ, QY, PolynomialRing, Polynomial, format_element
+from .exact import QQ, QY, PolynomialRing, Polynomial
 from .series import PowerSeries, from_coeffs
 
 RIORDAN_KINDS = ("ordinary", "exponential", "stretched")
@@ -42,19 +42,6 @@ class Triangle(Value):
         """Row n as the polynomial sum_k t_{n,k} y^k."""
         ring = PolynomialRing(self.ring, "y")
         return [Polynomial(ring, row) for row in self.rows]
-
-    def to_csv(self) -> str:
-        """One row per line, comma separated, exact rendering."""
-        return "\n".join(",".join(format_element(e) for e in row) for row in self.rows)
-
-    def to_json(self) -> str:
-        """JSON array of arrays of exact decimal strings."""
-        import json
-
-        return json.dumps([[format_element(e) for e in row] for row in self.rows])
-
-    def __str__(self):
-        return self.to_csv()
 
     def __repr__(self):
         return f"<Triangle over {self.ring!r}, {self.n_rows} rows>"

@@ -136,59 +136,15 @@ I0_DUAL_TRIANGLE = [
     [0, -30, 0, 20, 0, -1],
 ]
 
-ALL_PRINTED = {
-    "fibonacci coefficient triangle": FIB_TRIANGLE,
-    "dual fibonacci coefficient array": DUAL_FIB_TRIANGLE,
-    "(1, x+x^2) triangle": X_PLUS_X2_TRIANGLE,
-    "(1, x+x^2) inversion": TILDE_TRIANGLE,
-    "stretched binom(n-k,k) triangle": A011973_TRIANGLE,
-    "stretched inversion": TILDETILDE_TRIANGLE,
-    "catalan-fibonacci coefficient array": CF_COEFF_TRIANGLE,
-    "catalan-fibonacci coefficient inversion": CF_COEFF_INVERSION,
-    "catalan-fibonacci matrix b=1": CF_MATRIX_B1,
-    "catalan-jacobsthal matrix b=2": CF_MATRIX_B2,
-    "catalan-fibonacci matrix inversion": CF_MATRIX_B1_INVERSION,
-    "central coefficient triangle": A111959_TRIANGLE,
-    "central inversion (exponential)": I0_DUAL_TRIANGLE,
-}
-
 # Dual polynomial values at y = 1 and y = -1: coefficients of
 # x(sqrt(1-4yx^2)-x) from x^1, evaluated.  The odd entries are twice the
 # Catalan numbers with alternating placement, which pins them independently.
 DUAL_CF_AT_1 = [1, -1, -2, 0, -2, 0, -4, 0, -10, 0, -28, 0, -84, 0, -264, 0, -858, 0]
 DUAL_CF_AT_MINUS_1 = [1, -1, 2, 0, -2, 0, 4, 0, -10, 0, 28, 0, -84, 0, 264, 0, -858, 0]
 
-# Hankel transforms of the two sequences above, with their rational
-# generating functions (ascending coefficient lists).
+# Hankel transforms of the two sequences above.
 HANKEL_AT_1 = [1, -3, 14, -32, 96, -208, 544, -1152, 2816, -5888]
-HANKEL_AT_1_NUM = [1, -1, 4]
-HANKEL_AT_1_DEN = [1, 2, -4, -8]  # (1-2x)(1+2x)^2
-
 HANKEL_AT_MINUS_1 = [1, 1, -10, -16, 64, 112, -352, -640, 1792, 3328]
-HANKEL_AT_MINUS_1_NUM = [1, 1, -2, -8]
-HANKEL_AT_MINUS_1_DEN = [1, 0, 8, 0, 16]  # (1+4x^2)^2
-
-# Reciprocal polynomials 1/(sqrt(1-4yx^2)-x), ascending y-coefficients.
-RECIPROCAL_POLY_COEFFS = [
-    [1],
-    [1],
-    [1, 2],
-    [1, 4],
-    [1, 6, 6],
-    [1, 8, 16],
-    [1, 10, 30, 20],
-]
-
-# Bivariate row polynomials of 1/(sqrt(1-4bx^2)-ax), rendered canonically.
-RECIPROCAL_BIVARIATE = [
-    "1",
-    "a",
-    "2*b+a^2",
-    "4*a*b+a^3",
-    "6*b^2+6*a^2*b+a^4",
-    "16*a*b^2+8*a^3*b+a^5",
-    "20*b^3+30*a^2*b^2+10*a^4*b+a^6",
-]
 
 # Dual polynomials of the Catalan-Fibonacci family: coefficients of
 # x(sqrt(1-4yx^2)-x) as ascending y-coefficient lists, from x^0.
@@ -204,10 +160,6 @@ DUAL_CF_POLY_COEFFS = [
     [],
     [0, 0, 0, 0, -10],
 ]
-
-# Motzkin numbers (path counts of length n; derived by exhaustive
-# enumeration, cross-checked by hand for n <= 4).
-MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51]
 
 # First Fibonacci-like family members, ascending coefficients in y.
 FIB_POLYS = [[], [1], [0, 1], [1, 0, 1], [0, 2, 0, 1], [1, 0, 3, 0, 1]]

@@ -1,7 +1,9 @@
 """Acceptance gate: every criterion at its stated bound, bit-exact.
 
 Each test prints one ACCEPTANCE PASS/FAIL line (all arithmetic is exact, so
-every comparison below is equality, never a tolerance).
+every comparison below is equality, never a tolerance).  A criterion that a
+``verify`` suite checks is asserted through that suite's report, by check
+name and bound, so each identity is computed in one place.
 """
 
 import re
@@ -10,28 +12,18 @@ from fractions import Fraction
 
 import known_values as kv
 from riordan import verify
-from riordan.exact import QQ, QY, binomial, catalan
+from riordan.exact import QQ, QY
 from riordan.families import (
     TRIANGLES,
     cf_matrix,
     pair_a011973,
     pair_a111959,
-    pair_central,
     pair_exp_j0,
     pair_fib,
     pair_x_plus_x2,
-    reciprocal_polys,
 )
-from riordan.hankel import hankel_transform
-from riordan.paths import PathClass, count_paths, count_tilings
-from riordan.series import from_coeffs, generator_series, x_series
-from riordan.triangles import (
-    build_exponential,
-    build_from_bgf,
-    build_ordinary,
-    invert_triangle,
-    row_sums,
-)
+from riordan.series import generator_series, x_series
+from riordan.triangles import build_exponential, build_from_bgf, build_ordinary, invert_triangle
 
 
 @contextmanager
@@ -48,11 +40,11 @@ def as_ints(T):
     return [[int(e) for e in row] for row in T.rows]
 
 
-def assert_verified(report, names, bound):
-    """Each named check of a ``verify`` report passes, at the bound its
-    detail states (the last integer in the detail)."""
+def assert_verified(report, bounds):
+    """Each check named in ``bounds`` passes in a ``verify`` report, at the
+    bound given for it: the last integer in the check's detail."""
     checks = {c.name: c for c in report.checks}
-    for name in names:
+    for name, bound in bounds.items():
         check = checks[name]
         assert check.ok, f"{name}: {check.detail}"
         assert int(re.findall(r"\d+", check.detail)[-1]) == bound, check.detail
@@ -94,13 +86,15 @@ def test_duality_routes():
     with criterion("duality routes (a)-(d) agree identically for n <= 16"):
         assert_verified(
             verify.duality_suite(),
-            [
-                "route agreement: series reversion vs exponential array",
-                "route agreement: series reversion vs odd-power rows",
-                "route agreement: series reversion vs even-power rows",
-                "closed-form accessor matches reversion route",
-            ],
-            bound=16,
+            dict.fromkeys(
+                [
+                    "route agreement: series reversion vs exponential array",
+                    "route agreement: series reversion vs odd-power rows",
+                    "route agreement: series reversion vs even-power rows",
+                    "closed-form accessor matches reversion route",
+                ],
+                16,
+            ),
         )
 
 
@@ -108,13 +102,18 @@ def test_lagrange_proposition():
     with criterion("reversion coefficients over Q[a][b] equal C_n*sum binom(n-i,i)a^(n-2i)b^i, n <= 12"):
         assert_verified(
             verify.lagrange_suite(),
-            ["reversion coefficients equal the bivariate closed form"],
-            bound=12,
+            {
+                "reversion coefficients equal the bivariate closed form": 12,
+                "coefficient extraction for x - x^2": 12,
+                "coefficient extraction for x(sqrt(1-4x^2) - x)": 12,
+            },
         )
 
 
 def test_closed_form_reversion():
     with criterion("closed-form reversion composes to x through order 20 at three rational points"):
+        # Rev(x(sqrt(1-4bx^2)-ax)) = sqrt(1-2ax-sqrt(1-4ax-16bx^2)) / sqrt(2(a^2+4b));
+        # the numerator has valuation 1, so the root is taken after shifting x^2 out
         order = 21  # coefficients of x^0..x^20
         for a0, b0 in ((1, 2), (2, 0), (0, 1)):
             x = x_series(QQ, order + 2)  # headroom for the two shifts
@@ -122,90 +121,76 @@ def test_closed_form_reversion():
             f = x * ((1 - 4 * b0 * x * x).sqrt() - a0 * x)
             inner = 1 - 2 * a0 * x - (1 - 4 * a0 * x - 16 * b0 * x * x).sqrt()
             closed = (inner.div_x().div_x() / disc).sqrt().mul_x().truncate(order)
+            assert closed == f.revert().truncate(order)
             assert f.compose(closed) == x_series(QQ, order)
             assert closed.compose(f) == x_series(QQ, order)
 
 
 def test_hankel_transforms():
     with criterion("Hankel transforms reproduce both printed sequences and match their rational GFs to 10 terms"):
-        x = x_series(QY, 20)
-        y = generator_series(QY, "y", 20)
-        dual_gf = x * ((1 - 4 * y * x * x).sqrt() - x)
-        for y0, printed, num, den in (
-            (Fraction(1), kv.HANKEL_AT_1, kv.HANKEL_AT_1_NUM, kv.HANKEL_AT_1_DEN),
-            (
-                Fraction(-1),
-                kv.HANKEL_AT_MINUS_1,
-                kv.HANKEL_AT_MINUS_1_NUM,
-                kv.HANKEL_AT_MINUS_1_DEN,
-            ),
-        ):
-            seq = [dual_gf[n + 1](y0) for n in range(19)]
-            transform = hankel_transform(seq, 9)
-            assert transform[:6] == printed[:6]
-            assert transform == list((from_coeffs(QQ, num, 10) / from_coeffs(QQ, den, 10)).coeffs)
+        assert_verified(
+            verify.hankel_suite(),
+            {
+                "Hankel transform of duals at y=1": 6,
+                "transform at y=1 matches its rational generating function": 10,
+                "Hankel transform of duals at y=-1": 6,
+                "transform at y=-1 matches its rational generating function": 10,
+            },
+        )
 
 
 def test_row_sums():
     with criterion("row sums equal C_n*F_(n+1) at b=1 and C_n*J_(n+1) at b=2 for n <= 12"):
-        # recurrences unrolled here, independent of the library helpers
-        fib = [0, 1]
-        jac = [0, 1]
-        while len(fib) < 15:
-            fib.append(fib[-1] + fib[-2])
-            jac.append(jac[-1] + 2 * jac[-2])
-        n_max = 12
-        assert row_sums(cf_matrix(Fraction(1), n_max + 1)) == [
-            catalan(n) * fib[n + 1] for n in range(n_max + 1)
-        ]
-        assert row_sums(cf_matrix(Fraction(2), n_max + 1)) == [
-            catalan(n) * jac[n + 1] for n in range(n_max + 1)
-        ]
+        assert_verified(
+            verify.fundamental_suite(),
+            {
+                "row sums at b=1 are C_n * F_(n+1)": 12,
+                "row sums at b=2 are C_n * J_(n+1)": 12,
+            },
+        )
 
 
 def test_fundamental_theorem():
     with criterion("central-pair row sums expand the reciprocal GF to order 16; reciprocal polynomials reproduced"):
-        order = 16
-        for a0, b0 in ((1, 1), (1, 2), (2, 1)):
-            T = build_ordinary(pair_central(a0, b0, order), order)
-            x = x_series(QQ, order)
-            direct = 1 / ((1 - 4 * b0 * x * x).sqrt() - a0 * x)
-            assert row_sums(T) == list(direct.coeffs)
-        polys = reciprocal_polys(7)
-        assert [p == QY.poly(c) for p, c in zip(polys, kv.RECIPROCAL_POLY_COEFFS)] == [True] * 7
+        assert_verified(
+            verify.fundamental_suite(),
+            {
+                "row sums expand the reciprocal at (a,b)=(1,1)": 16,
+                "row sums expand the reciprocal at (a,b)=(1,2)": 16,
+                "row sums expand the reciprocal at (a,b)=(2,1)": 16,
+                "bivariate reciprocal polynomials": 7,
+                "reciprocal polynomials at a=1, b=y": 7,
+            },
+        )
 
 
 def test_path_oracles():
     with criterion("exhaustive path/tiling enumeration matches every closed form at the stated bounds"):
-        n_max = 12
-        from riordan.families import dual_fib_coeff, fib_coeff, tilde_coeff
-
-        level = PathClass("motzkin", "level_steps")
-        up = PathClass("motzkin", "up_steps")
-        upl = PathClass("motzkin", "up_plus_level_steps")
-        grand = PathClass("grand_motzkin", "level_steps")
-        grand_T = build_exponential(pair_exp_j0(n_max + 1), n_max + 1)
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                assert count_paths(level, n, k) == abs(dual_fib_coeff(n, k))
-                assert count_paths(up, n, k) == binomial(n, 2 * k) * catalan(k)
-                assert count_paths(upl, n, k) == abs(tilde_coeff(n, k))
-                assert count_paths(grand, n, k) == abs(grand_T.entry(n, k))
-        for n in range(15):
-            for k in range(n + 1):
-                assert count_tilings(n, k) == fib_coeff(n, k)
+        assert_verified(
+            verify.paths_suite(),
+            {
+                "level steps count |dual Fibonacci coefficients|": 12,
+                "up steps count binom(n,2k)*C_k": 12,
+                "up-plus-level steps count |inverted-pair coefficients|": 12,
+                "grand-path level steps count the exponential-array entries": 12,
+                "square/domino tilings count the Fibonacci coefficients": 14,
+                "row sums give the Motzkin numbers": 6,
+            },
+        )
 
 
 def test_involution():
     with criterion("double inversion restores all three invertible triangles at 16 rows"):
         assert_verified(
             verify.involution_suite(),
-            [
-                "double inversion restores Fibonacci coefficient triangle",
-                "double inversion restores (1, x+x^2) triangle",
-                "double inversion restores central coefficient triangle",
-            ],
-            bound=16,
+            dict.fromkeys(
+                [
+                    "double inversion restores Fibonacci coefficient triangle",
+                    "double inversion restores (1, x+x^2) triangle",
+                    "double inversion restores central coefficient triangle",
+                ],
+                16,
+            ),
         )
 
 

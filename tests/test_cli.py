@@ -7,14 +7,17 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import known_values as kv
-from riordan.cli import main
+from riordan.cli import main, render_triangle
+from riordan.exact import QQ
 from riordan.families import TRIANGLES
+from riordan.triangles import Triangle
 from riordan.verify import SUITE_NAMES
 from strategies import gf_texts
 
@@ -144,6 +147,21 @@ class TestTriangleCommand:
             capsys, "triangle", "fib", "--rows", "3", "--format", "bfile"
         )
         assert code == 1 and "single sequences" in err
+
+
+class TestRenderTriangle:
+    def test_csv_rendering(self):
+        T = Triangle(QQ, [[1], [Fraction(1, 2), -3]])
+        assert render_triangle(T, "csv") == "1\n1/2,-3"
+
+    def test_json_rendering(self):
+        T = Triangle(QQ, [[1], [Fraction(1, 2), -3]])
+        assert json.loads(render_triangle(T, "json")) == [["1"], ["1/2", "-3"]]
+
+    def test_big_integer_rendering_is_exact(self):
+        big = 10 ** 40 + 1
+        T = Triangle(QQ, [[big]])
+        assert render_triangle(T, "csv") == render_triangle(T, "table") == str(big)
 
 
 class TestSequenceCommand:

@@ -155,6 +155,9 @@ class TestPolynomial:
         assert p.shift_down(3) == 3 * y - y ** 3
         with pytest.raises(ValueError):
             (1 + y).shift_down(1)
+        for p, k in ((y ** 2, -1), (y ** 3, -2)):
+            with pytest.raises(ValueError, match=f"shift must be >= 0, got {k}"):
+                p.shift_down(k)
 
     def test_bivariate_nesting(self):
         a = QAB.coerce(QA.generator())
