@@ -107,7 +107,11 @@ def cf_coeff(n: int, i: int) -> int:
 
 def _closed_form(entry):
     """Builder of the triangle with entry(n, k) at row n, column k."""
-    return lambda rows: Triangle(QQ, [[entry(n, k) for k in range(n + 1)] for n in range(rows)])
+    def build(rows: int) -> Triangle:
+        if rows < 0:
+            raise ValueError(f"need rows >= 0, got {rows}")
+        return Triangle(QQ, [[entry(n, k) for k in range(n + 1)] for n in range(rows)])
+    return build
 
 
 def _cf_root(order: int) -> PowerSeries:
@@ -214,6 +218,8 @@ def pair_a111959(order: int) -> RiordanPair:
 
 def bessel_j1_over_x(order: int) -> PowerSeries:
     """Series of J_1(2x)/x: sum (-1)^m x^(2m) / (m! (m+1)!)."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     coeffs = [QQ.zero()] * order
     for m in range(0, (order + 1) // 2):
         coeffs[2 * m] = Fraction((-1) ** m, math.factorial(m) * math.factorial(m + 1))
@@ -222,6 +228,8 @@ def bessel_j1_over_x(order: int) -> PowerSeries:
 
 def bessel_j0(order: int) -> PowerSeries:
     """Series of J_0(2x): sum (-1)^m x^(2m) / (m!)^2."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     coeffs = [QQ.zero()] * order
     for m in range(0, (order + 1) // 2):
         coeffs[2 * m] = Fraction((-1) ** m, math.factorial(m) ** 2)
@@ -264,6 +272,8 @@ def _dual_route(route):
     reversion and the exponential array need, and cut to indices 0..n_max."""
     @functools.wraps(route)
     def indices(n_max: int) -> tuple[Polynomial, ...]:
+        if n_max < 0:
+            raise ValueError(f"need n_max >= 0, got {n_max}")
         return route(max(n_max, 2))[:n_max + 1]
     return indices
 

@@ -108,6 +108,8 @@ def hankel_transform(seq, m_max: int) -> list:
     integral, which it is whenever a_0 .. a_{2 m_max} are, and a ``Fraction``
     otherwise.
     """
+    if m_max < 0:
+        raise ValueError(f"need m_max >= 0, got {m_max}")
     seq = tuple(seq)
     if len(seq) < 2 * m_max + 1:
         raise ValueError(

@@ -117,6 +117,8 @@ def build_exponential(pair: RiordanPair, n_rows: int) -> Triangle:
 def build_from_bgf(G: PowerSeries, n_rows: int) -> Triangle:
     """Rows from a bivariate generating function: row n is [x^n] G as a
     polynomial in the coefficient variable, padded to length n+1."""
+    if n_rows < 0:
+        raise ValueError(f"need n_rows >= 0, got {n_rows}")
     if G.order < n_rows:
         raise ValueError(f"series order {G.order} too small for {n_rows} rows")
     ring = G.ring

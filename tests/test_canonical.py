@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from riordan.exact import QQ, QY
 from riordan.hankel import determinant, hankel_transform
-from riordan.series import from_coeffs
 from riordan.triangles import Triangle, eval_rows, row_sums
+from strategies import q_inputs, q_positives, q_series, q_units, zeros
 
 
 def is_canonical_q(v) -> bool:
@@ -22,28 +22,6 @@ def assert_canonical_q(values) -> None:
         assert is_canonical_q(v), repr(v)
 
 
-# Integral values arrive as ints, bools and integral Fractions alike, so
-# every path has to canonicalize them rather than pass them through; halves
-# make integral sums and products of non-integral values common.
-rationals = st.one_of(
-    st.integers(-6, 6),
-    st.integers(-6, 6).map(Fraction),
-    st.booleans(),
-    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]),
-    st.fractions(min_value=-6, max_value=6, max_denominator=4),
-)
-units = rationals.filter(bool)
-
-
-@st.composite
-def series(draw, order, head=None):
-    """A series over Q of ``order`` coefficients; ``head`` fixes the first."""
-    coeffs = draw(st.lists(rationals, min_size=order, max_size=order))
-    if head is not None:
-        coeffs[0] = draw(head)
-    return from_coeffs(QQ, coeffs)
-
-
 class TestRing:
     def test_constants_are_ints(self):
         for v in (QQ.zero(), QQ.one(), QQ.coerce(7), QQ.coerce(True)):
@@ -51,7 +29,7 @@ class TestRing:
         assert type(QQ.coerce(True)) is int
         assert type(QQ.coerce(Fraction(6, 3))) is int
 
-    @given(units)
+    @given(q_units)
     def test_invert_and_sqrt(self, c):
         assert_canonical_q([QQ.invert(c), QQ.sqrt(c * c), QQ.coerce(c)])
 
@@ -60,20 +38,20 @@ class TestSeries:
     @settings(max_examples=60)
     @given(st.data(), st.integers(1, 6))
     def test_series_operations(self, data, order):
-        f = data.draw(series(order))
-        g = data.draw(series(order, head=units))
-        s = data.draw(series(order, head=rationals.filter(lambda c: c > 0)))
-        x_term = data.draw(series(order + 1, head=st.just(0)))
+        f = data.draw(q_series(order))
+        g = data.draw(q_series(order, (q_units,)))
+        s = data.draw(q_series(order, (q_positives,)))
+        x_term = data.draw(q_series(order + 1, (zeros,)))
         results = [f * g, f / g, (s * s).sqrt(), f.compose(x_term)]
         if order > 1:
-            rev = data.draw(series(order, head=st.just(0)).filter(lambda r: r[1]))
+            rev = data.draw(q_series(order, (zeros, q_units)))
             results.append(rev.revert())
         for r in results:
             assert_canonical_q(r.coeffs)
 
 
 class TestPolynomial:
-    @given(st.lists(rationals, max_size=6), rationals)
+    @given(st.lists(q_inputs, max_size=6), q_inputs)
     def test_coefficients_and_values(self, coeffs, v):
         p = QY.poly(coeffs)
         assert_canonical_q(p.coeffs)
@@ -82,7 +60,7 @@ class TestPolynomial:
 
 
 class TestTriangleAndHankel:
-    @given(st.lists(rationals, min_size=10, max_size=10), rationals)
+    @given(st.lists(q_inputs, min_size=10, max_size=10), q_inputs)
     def test_entries_sums_and_values(self, flat, v):
         T = Triangle(QQ, [flat[n * (n + 1) // 2:(n + 1) * (n + 2) // 2] for n in range(4)])
         assert_canonical_q(e for row in T.rows for e in row)
@@ -90,10 +68,10 @@ class TestTriangleAndHankel:
         assert_canonical_q(eval_rows(T, v))
 
     @given(st.integers(1, 3).flatmap(
-        lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+        lambda n: st.lists(st.lists(q_inputs, min_size=n, max_size=n), min_size=n, max_size=n)))
     def test_determinant(self, rows):
         assert_canonical_q([determinant(rows)])
 
-    @given(st.lists(rationals, min_size=9, max_size=9))
+    @given(st.lists(q_inputs, min_size=9, max_size=9))
     def test_hankel_transform(self, seq):
         assert_canonical_q(hankel_transform(seq, 4))

@@ -19,7 +19,7 @@ from riordan.exact import QQ
 from riordan.families import TRIANGLES
 from riordan.triangles import Triangle
 from riordan.verify import SUITE_NAMES
-from strategies import gf_texts
+from strategies import gf_texts, q_values
 
 
 def run_cli(capsys, *argv):
@@ -455,8 +455,7 @@ class TestImports:
 # Fuzzing the argument grammar.  Sizes stay at most 8, exponents at most 5 and
 # expressions at most 3 deep, so that no drawn command runs unbounded work.
 
-rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str)
-values = st.one_of(rationals, st.sampled_from(["", "x", "1/0", "--1"]))
+values = st.one_of(q_values(9, 9).map(str), st.sampled_from(["", "x", "1/0", "--1"]))
 
 
 @st.composite

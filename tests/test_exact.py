@@ -18,6 +18,7 @@ from riordan.exact import (
     format_element,
     jacobsthal,
 )
+from strategies import dot_rings, nonzero_ints, q_elements, qa_polys, qab_polys, qy_polys, rationals
 from test_canonical import is_canonical_q
 
 
@@ -79,7 +80,7 @@ class TestNumbers:
 
 
 class TestRationalInvariants:
-    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
+    @given(st.integers(-10**6, 10**6), nonzero_ints(10**6))
     def test_always_normalized(self, p, q):
         from math import gcd
 
@@ -90,18 +91,6 @@ class TestRationalInvariants:
     def test_zero_is_canonical(self):
         assert Fraction(0, 7) == Fraction(0, 1)
         assert Fraction(0, 7).denominator == 1
-
-
-rationals = st.fractions(
-    min_value=-100, max_value=100, max_denominator=20
-)
-
-
-def poly_y(draw_coeffs):
-    return QY.poly(draw_coeffs)
-
-
-polys = st.lists(rationals, max_size=9).map(poly_y)
 
 
 class TestPolynomial:
@@ -131,16 +120,16 @@ class TestPolynomial:
         with pytest.raises(ZeroDivisionError):
             y / 0
 
-    @given(polys, polys, polys)
+    @given(qy_polys, qy_polys, qy_polys)
     def test_distributivity(self, p, q, r):
         assert (p + q) * r == p * r + q * r
 
-    @given(polys, polys)
+    @given(qy_polys, qy_polys)
     def test_commutativity(self, p, q):
         assert p * q == q * p
         assert p + q == q + p
 
-    @given(polys, polys, polys)
+    @given(qy_polys, qy_polys, qy_polys)
     def test_mul_associativity(self, p, q, r):
         assert (p * q) * r == p * (q * r)
 
@@ -273,9 +262,7 @@ def assert_canonical(p):
         assert p._den == 1
 
 
-qa_polys = st.lists(rationals, max_size=4).map(QA.poly)
-qab_polys = st.lists(qa_polys, max_size=4).map(QAB.poly)
-either = st.sampled_from([(polys, (0,)), (qab_polys, (0, 0))])
+either = st.sampled_from([(qy_polys, (0,)), (qab_polys, (0, 0))])
 
 
 @st.composite
@@ -324,7 +311,7 @@ class TestKernelAgainstOracle:
         assert_canonical(got)
         assert terms(got) == o_pow(terms(p), n, {unit: Fraction(1)})
 
-    @given(polys, rationals)
+    @given(qy_polys, rationals)
     def test_call_over_qy(self, p, v):
         assert p(v) == sum((c * v ** k for (k,), c in terms(p).items()), Fraction(0))
         assert is_canonical_q(p(v)), repr(p(v))
@@ -396,23 +383,6 @@ class TestKernelInvariants:
 # above for the polynomial rings.
 
 weights = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-30, 30))
-# integer numerators over one drawn denominator: cheap to draw, and the
-# coefficients still reduce to mixed denominators
-small_rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
-q_elements = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-9, 9), small_rationals)
-
-
-def numerators_over(ring, length):
-    return st.builds(lambda nums, den: ring.poly([Fraction(c, den) for c in nums]),
-                     st.lists(st.integers(-40, 40), max_size=length), st.integers(1, 12))
-
-
-qy_elements = st.one_of(st.just(QY.zero()), small_rationals.map(QY.coerce), numerators_over(QY, 6))
-qa_elements = st.one_of(st.just(QA.zero()), small_rationals.map(QA.coerce), numerators_over(QA, 4))
-qab_elements = st.one_of(st.just(QAB.zero()), small_rationals.map(QAB.coerce),
-                         qa_elements.map(QAB.coerce),
-                         st.lists(qa_elements, max_size=4).map(QAB.poly))
-dot_rings = st.sampled_from([(QY, qy_elements), (QA, qa_elements), (QAB, qab_elements)])
 
 
 class TestDot:

@@ -8,6 +8,8 @@ import known_values as kv
 from riordan.exact import QA, QAB, QQ, QY, binomial, catalan
 from riordan.families import (
     TRIANGLES,
+    bessel_j0,
+    bessel_j1_over_x,
     cf_coeffs,
     cf_matrix,
     dual_cf_sequence,
@@ -128,6 +130,13 @@ class TestTriangleTable:
         T = TRIANGLES[name](16)
         assert T.ring == QQ and T.n_rows == 16 and T.entry(0, 0) == 1
         assert invert_triangle(invert_triangle(T)) == T
+
+    @pytest.mark.parametrize("name", list(TRIANGLES))
+    def test_negative_rows_is_an_error(self, name):
+        assert TRIANGLES[name](0).n_rows == 0
+        for rows in (-1, -2):
+            with pytest.raises(ValueError, match=f"need rows >= 0, got {rows}"):
+                TRIANGLES[name](rows)
 
 
 def cf_coeff_by_reversion(n_rows):
@@ -263,3 +272,24 @@ class TestDualRoutes:
         # the y^n-lifted sums must be divisible by y^n before shifting back
         polys = dual_fib_polys_by_laurent(12)
         assert polys[4] == QY.poly([0, 3, 0, -1])
+
+    @pytest.mark.parametrize("route", [
+        dual_fib_polys_by_reversion,
+        dual_fib_polys_by_exponential,
+        dual_fib_polys_by_laurent,
+        dual_fib_polys_by_even_form,
+    ])
+    def test_negative_n_max_is_an_error(self, route):
+        assert route(0) == (QY.zero(),)
+        for n_max in (-1, -2, -3):
+            with pytest.raises(ValueError, match=f"need n_max >= 0, got {n_max}"):
+                route(n_max)
+
+
+class TestBessel:
+    @pytest.mark.parametrize("series", [bessel_j0, bessel_j1_over_x])
+    def test_negative_order_is_an_error(self, series):
+        assert series(0).order == 0
+        for order in (-1, -3):
+            with pytest.raises(ValueError, match=f"order must be >= 0, got {order}"):
+                series(order)

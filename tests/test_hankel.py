@@ -13,6 +13,7 @@ from riordan.families import cf_matrix, dual_cf_sequence, reciprocal_polys
 from riordan.hankel import determinant, hankel_transform
 from riordan.series import from_coeffs
 from riordan.triangles import row_sums
+from strategies import hankel_sources, q_values
 from test_canonical import is_canonical_q
 
 
@@ -78,6 +79,12 @@ class TestHankelTransform:
         with pytest.raises(ValueError):
             hankel_transform([1, 2, 3], 2)
 
+    def test_negative_m_max_is_an_error(self):
+        assert hankel_transform([1, 2, 3], 0) == [1]
+        for m_max in (-1, -2):
+            with pytest.raises(ValueError, match=f"need m_max >= 0, got {m_max}"):
+                hankel_transform([1, 2, 3], m_max)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-20, 20), min_size=7, max_size=7))
     def test_bareiss_equals_cofactor_oracle(self, source):
@@ -85,13 +92,7 @@ class TestHankelTransform:
         assert determinant(rows) == oracle_cofactor_det(rows)
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.fractions(min_value=-5, max_value=5, max_denominator=6),
-            min_size=7,
-            max_size=7,
-        )
-    )
+    @given(st.lists(q_values(5, 6), min_size=7, max_size=7))
     def test_rational_path_equals_cofactor_oracle(self, source):
         rows = hankel_rows(source, 4)
         assert determinant(rows) == oracle_cofactor_det(rows)
@@ -103,32 +104,6 @@ class TestHankelTransform:
             sum(binomial(n, k) * seq[k] for k in range(n + 1)) for n in range(len(seq))
         ]
         assert hankel_transform(seq, 4) == hankel_transform(transformed, 4)
-
-
-@st.composite
-def hankel_sources(draw, max_m=7):
-    """(seq, m) with 2m+1 integer, rational, zero-heavy or gapped terms.
-
-    Zero-heavy sequences often have zero minors.  Gapped ones put runs of 1-6
-    zeros at the start and in the middle, so the subresultant chain drops its
-    degree by 3 or more.  Rationals share one denominator, which is cheaper to
-    draw than a fraction per term.
-    """
-    m = draw(st.integers(0, max_m))
-    n = 2 * m + 1
-    kind = draw(st.sampled_from(["integers", "rationals", "zero-heavy", "gapped"]))
-    if kind == "rationals":
-        den = draw(st.integers(1, 6))
-        nums = draw(st.lists(st.integers(-5 * den, 5 * den), min_size=n, max_size=n))
-        return [Fraction(a, den) for a in nums], m
-    if kind == "gapped":
-        seq = []
-        while len(seq) < n:
-            seq += [0] * draw(st.integers(1, 6))
-            seq += draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
-        return seq[:n], m
-    term = st.integers(-20, 20) if kind == "integers" else st.sampled_from([0, 0, 0, 1, -1])
-    return draw(st.lists(term, min_size=n, max_size=n)), m
 
 
 class TestOnePassTransform:

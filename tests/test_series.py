@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riordan.exact import QA, QAB, QQ, QY, binomial
+from riordan.exact import QAB, QQ, QY, binomial
 from riordan.families import cf_matrix
 from riordan.series import _miller_power, constant, from_coeffs, generator_series, x_series
+from strategies import nonzero_q_values, q_polys, q_series, q_values, zeros
 from test_canonical import is_canonical_q
 
 
@@ -189,11 +190,7 @@ class TestSqrt:
     def test_sqrt_squares_to_its_argument(self, data):
         ring = data.draw(st.sampled_from([QQ, QY]))
         root = data.draw(st.sampled_from([1, 2, Fraction(3, 2), Fraction(1, 5)]))
-        if ring is QQ:
-            term = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-        else:
-            term = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
-                            max_size=3).map(QY.poly)
+        term = q_values(9, 6) if ring is QQ else q_polys(QY, 3, 3, 3)
         # sparse: mostly zero coefficients, as in the binomials 1 - c x^k
         sparse = data.draw(st.booleans())
         if sparse:
@@ -217,11 +214,7 @@ class TestMillerPower:
         r = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]))
         if q % 2 == 0:
             r = abs(r)
-        if ring is QQ:
-            term = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-        else:
-            term = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
-                            max_size=3).map(QY.poly)
+        term = q_values(9, 6) if ring is QQ else q_polys(QY, 3, 3, 4)
         term = st.one_of(st.just(ring.zero()), term)  # sparse tails too
         order = 8
         tail = data.draw(st.lists(term, max_size=order - 1))
@@ -316,23 +309,9 @@ class TestRevert:
             (y * x).revert()
 
 
-@st.composite
-def unit_tail_series(draw, order=24):
-    cs = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6),
-                       min_size=0, max_size=order - 2))
-    slope = draw(st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool))
-    return from_coeffs(QQ, [0, slope] + cs, order)
-
-
-def qab_elements(max_degree=2):
-    """Polynomials in a and b with small integer coefficients."""
-    in_a = st.lists(st.integers(-3, 3), max_size=max_degree + 1).map(QA.poly)
-    return st.lists(in_a, max_size=max_degree + 1).map(QAB.poly)
-
-
 class TestRoundTrip:
     @settings(max_examples=40, deadline=None)
-    @given(unit_tail_series())
+    @given(q_series(24, (zeros, nonzero_q_values(9, 6)), st.lists(q_values(9, 6), max_size=22)))
     def test_round_trip_over_q(self, f):
         x = x_series(QQ, f.order)
         u = f.revert()
@@ -352,8 +331,7 @@ class TestRoundTrip:
         assert u.compose(f) == x
 
     @settings(max_examples=10, deadline=None)
-    @given(st.lists(qab_elements(), max_size=6),
-           st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    @given(st.lists(q_polys(QAB, 3, 3), max_size=6), nonzero_q_values(3, 3))
     def test_round_trip_over_qab(self, tail, slope):
         order = 8
         f = from_coeffs(QAB, [QAB.zero(), QAB.coerce(slope)] + tail, order)

@@ -24,9 +24,10 @@ from sympy.polys.rings import ring  # noqa: E402
 from sympy import Matrix, Poly, Rational, symbols  # noqa: E402
 from sympy.polys.ring_series import rs_nth_root, rs_series_reversion, rs_subs  # noqa: E402
 
-from riordan.exact import QA, QAB, QQ, QY, Polynomial  # noqa: E402
+from riordan.exact import QAB, QQ, QY, Polynomial  # noqa: E402
 from riordan.hankel import hankel_transform  # noqa: E402
 from riordan.series import from_coeffs  # noqa: E402
+from strategies import nonzero_q_values, q_polys, q_values  # noqa: E402
 
 R, X, T, Y = ring("x, t, y", SYMPY_QQ)
 
@@ -51,18 +52,14 @@ def assert_matches_sympy(f):
     assert to_sympy(f.revert(), T) == want
 
 
-nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
-
-
 @settings(max_examples=50, deadline=None)
-@given(nonzero_rationals,
-       st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=14))
+@given(nonzero_q_values(9, 6), st.lists(q_values(9, 6), max_size=14))
 def test_revert_over_q_matches_sympy(slope, tail):
     assert_matches_sympy(from_coeffs(QQ, [0, slope] + tail, 16))
 
 
 @settings(max_examples=25, deadline=None)
-@given(nonzero_rationals,
+@given(nonzero_q_values(9, 6),
        st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=8))
 def test_revert_over_qy_matches_sympy(slope, tail):
     coeffs = [QY.zero(), QY.coerce(slope)] + [QY.poly(c) for c in tail]
@@ -83,11 +80,8 @@ def assert_compose_matches_sympy(f, g):
     assert to_sympy(f.compose(g), X) == want
 
 
-q_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-
-
 @settings(max_examples=50, deadline=None)
-@given(st.lists(q_coeffs, min_size=1, max_size=14), st.lists(q_coeffs, max_size=13))
+@given(st.lists(q_values(9, 6), min_size=1, max_size=14), st.lists(q_values(9, 6), max_size=13))
 def test_compose_over_q_matches_sympy(f, g_tail):
     # the orders differ, so the result is truncated to the smaller one
     assert_compose_matches_sympy(from_coeffs(QQ, f), from_coeffs(QQ, [0] + g_tail))
@@ -107,8 +101,7 @@ squares = st.sampled_from([Fraction(1), Fraction(4), Fraction(9, 4), Fraction(1,
 
 
 @settings(max_examples=50, deadline=None)
-@given(squares,
-       st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=15))
+@given(squares, st.lists(q_values(9, 6), max_size=15))
 def test_sqrt_over_q_matches_sympy(c0, tail):
     f = from_coeffs(QQ, [c0] + tail, 16)
     assert to_sympy(f.sqrt(), X) == rs_nth_root(to_sympy(f, X), 2, X, f.order)
@@ -116,7 +109,7 @@ def test_sqrt_over_q_matches_sympy(c0, tail):
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 7).flatmap(lambda m: st.lists(
-    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    q_values(5, 6),
     min_size=2 * m + 1, max_size=2 * m + 1)))
 def test_hankel_determinants_match_sympy(seq):
     m = (len(seq) - 1) // 2
@@ -130,9 +123,6 @@ def test_hankel_determinants_match_sympy(seq):
 
 
 SY, SA, SB = symbols("y a b")
-rationals = st.fractions(min_value=-9, max_value=9, max_denominator=8)
-qy_polys = st.lists(rationals, max_size=12).map(QY.poly)
-qab_polys = st.lists(st.lists(rationals, max_size=5).map(QA.poly), max_size=5).map(QAB.poly)
 
 
 def to_sympy_poly(p):
@@ -148,7 +138,8 @@ def to_sympy_poly(p):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.one_of(st.tuples(qy_polys, qy_polys), st.tuples(qab_polys, qab_polys)))
+@given(st.one_of(st.tuples(q_polys(QY, 12, 9, 8), q_polys(QY, 12, 9, 8)),
+                 st.tuples(q_polys(QAB, 5, 9, 8), q_polys(QAB, 5, 9, 8))))
 def test_products_match_sympy(pq):
     p, q = pq
     assert to_sympy_poly(p * q) == to_sympy_poly(p) * to_sympy_poly(q)

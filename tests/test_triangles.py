@@ -21,6 +21,7 @@ from riordan.triangles import (
     invert_triangle,
     row_sums,
 )
+from strategies import q_values
 
 
 def rows_of(T):
@@ -84,6 +85,12 @@ class TestBuildFromBgf:
         with pytest.raises(ValueError):
             build_from_bgf(G, 2)
 
+    def test_negative_rows_is_an_error(self):
+        G = from_coeffs(QY, [1])
+        assert build_from_bgf(G, 0).n_rows == 0
+        with pytest.raises(ValueError, match="need n_rows >= 0, got -1"):
+            build_from_bgf(G, -1)
+
 
 class TestInversion:
     @settings(max_examples=100, deadline=None)
@@ -91,7 +98,7 @@ class TestInversion:
     def test_involution_on_random_triangles(self, data):
         # any rational triangle with a unit head t_(0,0) = +-1, up to 8 rows
         n_rows = data.draw(st.integers(1, 8))
-        entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        entries = q_values(9, 6)
         rows = [[data.draw(st.sampled_from([1, -1]))]] + [
             data.draw(st.lists(entries, min_size=n + 1, max_size=n + 1))
             for n in range(1, n_rows)
