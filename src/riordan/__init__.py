@@ -2,8 +2,9 @@
 
 Triangles from Riordan pairs and bivariate generating functions, the
 generating-function inversion operator on triangles, the named polynomial
-families it produces, Hankel transforms, and brute-force lattice-path and
-tiling oracles that cross-check everything.
+families it produces, Hankel transforms, and lattice-path and tiling oracles
+that cross-check them: cached dynamic programs that never touch the series
+machinery.
 """
 
 import importlib
@@ -18,13 +19,13 @@ _EXPORTS = {
         "exact",
     ),
     **dict.fromkeys(("GfEvalError", "ParseError", "eval_ast", "eval_gf", "parse"), "gfparse"),
-    **dict.fromkeys(("determinant", "hankel_transform"), "hankel"),
+    "hankel_transform": "hankel",
     **dict.fromkeys(("PathClass", "count_paths", "count_tilings"), "paths"),
     **dict.fromkeys(("PowerSeries", "constant", "from_coeffs", "generator_series", "one",
                      "x_series"), "series"),
-    **dict.fromkeys(("RiordanPair", "Triangle", "apply_series", "build_exponential",
-                     "build_from_bgf", "build_ordinary", "eval_rows", "invert_triangle",
-                     "row_sums"), "triangles"),
+    **dict.fromkeys(("RiordanPair", "Triangle", "build_exponential", "build_from_bgf",
+                     "build_ordinary", "eval_rows", "invert_triangle", "row_sums"),
+                    "triangles"),
 }
 
 __all__ = list(_EXPORTS)

@@ -163,8 +163,6 @@ def cf_matrix(b0: Fraction, n_rows: int) -> Triangle:
     """Catalan-scaled Fibonacci matrix at a fixed b: entry (n,k) is the
     coefficient of a^k in cf_coeffs(n) evaluated at b = b0, which is
     C_n binom(n-i, i) b0^i at k = n - 2i and 0 at k = n - 1, n - 3, ..."""
-    if n_rows < 1:
-        raise ValueError("need at least one row")
     b0 = QQ.coerce(b0)
     zero = QQ.zero()
 
@@ -198,12 +196,6 @@ def pair_x_plus_x2(order: int) -> RiordanPair:
     """(1, x(1+x)), the binom(k, n-k) triangle."""
     x = x_series(QQ, order)
     return RiordanPair(1 + 0 * x, x * (1 + x))
-
-def pair_a011973(order: int) -> RiordanPair:
-    """Stretched (1/(1-x), x^2/(1-x)), the binom(n-k, k) triangle."""
-    x = x_series(QQ, order)
-    d = 1 / (1 - x)
-    return RiordanPair(d, x * x * d, kind="stretched")
 
 def pair_central(a: Fraction, b: Fraction, order: int) -> RiordanPair:
     """(1/sqrt(1-4bx^2), a*x/sqrt(1-4bx^2)) at rational a, b."""
@@ -249,8 +241,8 @@ def pair_exp_j0(order: int) -> RiordanPair:
 # ---------------------------------------------------------------------------
 # The named triangles of the CLI: name -> builder taking the number of rows.
 # Every one is over Q with t_(0,0) = 1, so every one can be inverted.  Each is
-# built from its closed-form entry; the pair_* builders above are the
-# independent route to the same numbers.
+# built from its closed-form entry; the pair_* builders above are an
+# independent route to several of them.
 
 TRIANGLES: dict[str, Callable[[int], Triangle]] = {
     "fib": _closed_form(fib_coeff),

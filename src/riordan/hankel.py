@@ -1,20 +1,14 @@
-"""Exact determinants and Hankel transforms.
+"""Exact Hankel transforms.
 
-``determinant`` is the one general determinant: rational entries are scaled by
-their least common denominator L, so the matrix is integral, the integer
-determinant is found by fraction-free Bareiss elimination with row swaps, and
-it is divided by L^dim.  Each interior division of Bareiss elimination is exact
-(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 1968).
-
-``hankel_transform`` shares no code with it beyond the scaling.  The leading
-Hankel minors h_k = det(a_{i+j})_{0<=i,j<=k}, k = 0 .. m, are the signed
-subresultant coefficients h_k = sRes_{2m-k}(P, Q) of P = x^(2m+1) and
-Q = sum a_i x^(2m-i), whose quotient Q/P = sum a_i x^(-i-1) has the a_i as its
-Markov parameters.  The signed subresultant algorithm of Basu, Pollack and Roy
-(BPR, *Algorithms in Real Algebraic Geometry*, Algorithm 8.21) computes all of
-them, zeros included, as one remainder chain of polynomials sResP_l, each in
-the slot l of its nominal degree:
+``hankel_transform`` finds every leading minor at once, and takes no
+determinant.  The leading Hankel minors h_k = det(a_{i+j})_{0<=i,j<=k},
+k = 0 .. m, are the signed subresultant coefficients h_k = sRes_{2m-k}(P, Q)
+of P = x^(2m+1) and Q = sum a_i x^(2m-i), whose quotient
+Q/P = sum a_i x^(-i-1) has the a_i as its Markov parameters.  The signed
+subresultant algorithm of Basu, Pollack and Roy (BPR, *Algorithms in Real
+Algebraic Geometry*, Algorithm 8.21) computes all of them, zeros included, as
+one remainder chain of polynomials sResP_l, each in the slot l of its nominal
+degree:
 
 - a regular step, where the degree drops by one, is a three-term recurrence,
   the fraction-free form of Chebyshev's algorithm for J-fractions;
@@ -31,8 +25,8 @@ d = 1 .. z, and t (t/s)^z = +-s_k is such a coefficient, so the denominator of
 The chain only reads top coefficients: slot l keeps its degrees >= 2m - l,
 because no lower coefficient reaches an s_l with l >= m.  So the transform
 takes O(m^2) exact divisions, and a zero minor costs no more than a nonzero
-one.  On rationals it runs on the scaled terms L a_i, whose minors are
-L^(k+1) h_k.
+one.  On rationals it runs on the scaled terms L a_i, where L is the least
+common denominator of the terms; their minors are L^(k+1) h_k.
 """
 
 from __future__ import annotations
@@ -55,48 +49,6 @@ def _scale_to_integers(values) -> tuple[list[int], int]:
             ) from None
     lcd = math.lcm(*(q.denominator for q in qs))
     return [q.numerator * (lcd // q.denominator) for q in qs], lcd
-
-
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Integer determinant by Bareiss elimination with row swaps, in place.
-
-    Every division is exact.
-    """
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot, top = m[k][k], m[k][k + 1:]
-        for row in m[k + 1:]:
-            a = row[k]
-            row[k + 1:] = [(x * pivot - a * t) // prev for x, t in zip(row[k + 1:], top)]
-        prev = pivot
-    return sign * m[-1][-1]
-
-
-def determinant(rows: list[list]):
-    """Exact determinant of a square matrix of rationals, as a canonical
-    element of Q: an ``int`` when it is integral, a ``Fraction`` otherwise.
-
-    Fraction-free Bareiss elimination with row swaps on the matrix scaled to
-    integers; every interior division is exact.
-    """
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    flat, lcd = _scale_to_integers(e for row in rows for e in row)
-    det = _det_bareiss([flat[i * n:(i + 1) * n] for i in range(n)])
-    return rational(det, lcd**n)
 
 
 def hankel_transform(seq, m_max: int) -> list:

@@ -6,10 +6,11 @@ of the closed forms.  Motzkin paths take steps U=(1,1), D=(1,-1), H=(1,0)
 from height 0 back to height 0; the plain variant never dips below 0, the
 grand variant may.  Nothing is enumerated path by path.  Paths are counted
 by one cached dynamic program per variant and statistic over (steps
-remaining, height), whose state holds the counts for every statistic value
-at once, so the counts of all k and all shorter lengths share it.  Tilings
-are counted the same way: one cached program over the board length holds
-the counts for every number of squares.
+remaining, height).  A statistic is its row of ``STATISTICS``, the amount that
+each of U, D and H adds to it.  The program's state holds the counts for every
+statistic value at once, so the counts of all k and all shorter lengths share
+it.  Tilings are counted the same way: one cached program over the board
+length holds the counts for every number of squares.
 
 ``MAX_PATH_LENGTH`` and ``MAX_BOARD_LENGTH`` bound the lengths the oracles
 accept, a little above the lengths the ``paths`` suite and the tests check
@@ -25,7 +26,11 @@ from functools import cache
 from ._value import Value
 
 VARIANTS = ("motzkin", "grand_motzkin")
-STATISTICS = ("level_steps", "up_steps", "up_plus_level_steps")
+STATISTICS = {  # statistic -> (U, D, H) step weights
+    "level_steps": (0, 0, 1),
+    "up_steps": (1, 0, 0),
+    "up_plus_level_steps": (1, 0, 1),
+}
 
 MAX_PATH_LENGTH = 16
 MAX_BOARD_LENGTH = 20
@@ -38,23 +43,15 @@ class PathClass(Value):
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if statistic not in STATISTICS:
-            raise ValueError(f"statistic must be one of {STATISTICS}")
+            raise ValueError(f"statistic must be one of {tuple(STATISTICS)}")
         super().__init__(variant, statistic)
 
 
-def _step_weights(statistic: str) -> tuple[int, int, int]:
-    """How much (U, D, H) each add to the statistic."""
-    if statistic == "level_steps":
-        return 0, 0, 1
-    if statistic == "up_steps":
-        return 1, 0, 0
-    return 1, 0, 1  # up_plus_level_steps
-
-
 @cache
-def _path_counts(grand: bool, statistic: str, rem: int, h: int) -> tuple[int, ...]:
+def _path_counts(grand: bool, weights: tuple[int, int, int], rem: int, h: int) -> tuple[int, ...]:
     """Entry c counts the ways to finish a path from height h in ``rem``
-    steps, back at height 0, whose steps add c to the statistic.
+    steps, back at height 0, whose steps add c to the statistic with the
+    (U, D, H) ``weights``.
 
     Each state shifts the counts after a U, a D (plain paths only above
     height 0) and an H step by the weight of that step; a height that
@@ -64,13 +61,13 @@ def _path_counts(grand: bool, statistic: str, rem: int, h: int) -> tuple[int, ..
         return ()
     if rem == 0:
         return (1,)
-    wu, wd, wh = _step_weights(statistic)
+    wu, wd, wh = weights
     steps = [(h + 1, wu), (h, wh)]
     if grand or h > 0:
         steps.append((h - 1, wd))
     out = [0] * (rem + 1)  # no step adds more than 1
     for height, weight in steps:
-        for c, ways in enumerate(_path_counts(grand, statistic, rem - 1, height), weight):
+        for c, ways in enumerate(_path_counts(grand, weights, rem - 1, height), weight):
             out[c] += ways
     return tuple(out)
 
@@ -82,7 +79,7 @@ def count_paths(cls: PathClass, n: int, k: int) -> int:
         raise ValueError(f"path length must be in 0..{MAX_PATH_LENGTH}, got {n}")
     if k < 0:
         raise ValueError(f"statistic value must be >= 0, got {k}")
-    counts = _path_counts(cls.variant == "grand_motzkin", cls.statistic, n, 0)
+    counts = _path_counts(cls.variant == "grand_motzkin", STATISTICS[cls.statistic], n, 0)
     return counts[k] if k < len(counts) else 0
 
 

@@ -14,8 +14,6 @@ from ._value import Value
 from .exact import QQ, QY, PolynomialRing, Polynomial
 from .series import PowerSeries, from_coeffs
 
-RIORDAN_KINDS = ("ordinary", "exponential", "stretched")
-
 
 class Triangle(Value):
     """Immutable lower-triangular array; row n holds entries t_{n,0} .. t_{n,n}."""
@@ -48,29 +46,22 @@ class Triangle(Value):
 
 
 class RiordanPair(Value):
-    """A pair (d(x), h(x)) with d(0) != 0 and h(0) = 0.
-
-    ``ordinary`` and ``exponential`` kinds additionally require h'(0) != 0;
-    the ``stretched`` kind allows h'(0) = 0 for a nonzero h.
-    """
+    """An ``ordinary`` or ``exponential`` pair (d(x), h(x)) with d(0) != 0,
+    h(0) = 0 and h'(0) != 0."""
 
     __slots__ = ("d", "h", "kind")
 
     def __init__(self, d: PowerSeries, h: PowerSeries, kind: str = "ordinary"):
-        if kind not in RIORDAN_KINDS:
-            raise ValueError(f"kind must be one of {RIORDAN_KINDS}")
+        if kind not in ("ordinary", "exponential"):
+            raise ValueError(f"kind must be 'ordinary' or 'exponential', got {kind!r}")
         if d.ring is not h.ring:
             raise TypeError("d and h must share a coefficient ring")
         if d.order == 0 or not d.coeffs[0]:
             raise ValueError("d must have a nonzero constant term")
         if h.order == 0 or h.coeffs[0]:
             raise ValueError("h must have a zero constant term")
-        if kind == "stretched":
-            if not any(h.coeffs):
-                raise ValueError("stretched pair needs a nonzero h")
-        else:
-            if h.order < 2 or not h.coeffs[1]:
-                raise ValueError(f"{kind} pair needs h'(0) != 0")
+        if h.order < 2 or not h.coeffs[1]:
+            raise ValueError(f"{kind} pair needs h'(0) != 0")
         super().__init__(d, h, kind)
 
     @property
@@ -152,14 +143,6 @@ def invert_triangle(T: Triangle) -> Triangle:
     G = from_coeffs(QY, T.row_polynomials())
     reverted = G.mul_x().revert().div_x()
     return build_from_bgf(reverted, T.n_rows)
-
-
-def apply_series(pair: RiordanPair, f: PowerSeries) -> PowerSeries:
-    """Act on a series: d(x) * f(h(x))."""
-    if pair.kind == "exponential":
-        raise ValueError("apply_series acts by the ordinary rule; pair is exponential")
-    n = min(pair.d.order, pair.h.order, f.order)
-    return pair.d.truncate(n) * f.truncate(n).compose(pair.h.truncate(n))
 
 
 def row_sums(T: Triangle) -> list:

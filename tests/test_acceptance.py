@@ -16,7 +16,6 @@ from riordan.exact import QQ, QY
 from riordan.families import (
     TRIANGLES,
     cf_matrix,
-    pair_a011973,
     pair_a111959,
     pair_exp_j0,
     pair_fib,
@@ -60,13 +59,14 @@ def test_printed_matrix_reproduction():
         assert as_ints(second) == kv.X_PLUS_X2_TRIANGLE
         assert as_ints(invert_triangle(second)) == kv.TILDE_TRIANGLE
 
-        stretched = build_ordinary(pair_a011973(8), 6)
+        # the stretched array, and the coefficient array of the Catalan-scaled
+        # family, via the series route
+        x = x_series(QY, 8)
+        y = generator_series(QY, "y", 8)
+        stretched = build_from_bgf(1 / (1 - x - y * x * x), 6)
         assert as_ints(stretched) == kv.A011973_TRIANGLE
         assert as_ints(invert_triangle(stretched)) == kv.TILDETILDE_TRIANGLE
 
-        # coefficient array of the Catalan-scaled family, via the series route
-        x = x_series(QY, 8)
-        y = generator_series(QY, "y", 8)
         reverted = (x * ((1 - 4 * y * x * x).sqrt() - x)).revert().div_x()
         cf_coeff = build_from_bgf(reverted, 6)
         assert as_ints(cf_coeff) == kv.CF_COEFF_TRIANGLE

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from riordan.exact import QQ, QY
-from riordan.hankel import determinant, hankel_transform
+from riordan.hankel import hankel_transform
 from riordan.triangles import Triangle, eval_rows, row_sums
 from strategies import q_inputs, q_positives, q_series, q_units, zeros
 
@@ -66,11 +66,6 @@ class TestTriangleAndHankel:
         assert_canonical_q(e for row in T.rows for e in row)
         assert_canonical_q(row_sums(T))
         assert_canonical_q(eval_rows(T, v))
-
-    @given(st.integers(1, 3).flatmap(
-        lambda n: st.lists(st.lists(q_inputs, min_size=n, max_size=n), min_size=n, max_size=n)))
-    def test_determinant(self, rows):
-        assert_canonical_q([determinant(rows)])
 
     @given(st.lists(q_inputs, min_size=9, max_size=9))
     def test_hankel_transform(self, seq):

@@ -19,7 +19,6 @@ from riordan.families import (
     dual_fib_polys_by_laurent,
     dual_fib_polys_by_reversion,
     fib_coeff,
-    pair_a011973,
     pair_a111959,
     pair_exp_j0,
     reciprocal_polys,
@@ -146,8 +145,15 @@ def cf_coeff_by_reversion(n_rows):
     return build_from_bgf((x * ((1 - 4 * y * x * x).sqrt() - x)).revert().div_x(), n_rows)
 
 
+def a011973_by_bgf(n_rows):
+    """Rows of 1/(1-x-yx^2), the series route to a011973."""
+    x = x_series(QY, n_rows)
+    y = generator_series(QY, "y", n_rows)
+    return build_from_bgf(1 / (1 - x - y * x * x), n_rows)
+
+
 INDEPENDENT_ROUTES = {
-    "a011973": lambda n: build_ordinary(pair_a011973(n), n),
+    "a011973": a011973_by_bgf,
     "a111959": lambda n: build_ordinary(pair_a111959(n), n),
     "i0-dual": lambda n: build_exponential(pair_exp_j0(n), n),
     "cf-coeff": cf_coeff_by_reversion,
@@ -248,9 +254,13 @@ class TestCfMatrices:
         T = invert_triangle(cf_matrix(Fraction(1), 9))
         assert [row[0] for row in T.rows] == [1, 0, -2, 0, -2, 0, -4, 0, -10]
 
-    def test_needs_a_row(self):
-        with pytest.raises(ValueError):
-            cf_matrix(Fraction(1), 0)
+    def test_zero_rows(self):
+        # the zero-size contract of the named cf-coeff triangle it evaluates
+        assert cf_matrix(Fraction(1), 0) == TRIANGLES["cf-coeff"](0)
+        assert cf_matrix(Fraction(1), 0).n_rows == 0
+        for rows in (-1, -2):
+            with pytest.raises(ValueError, match=f"need rows >= 0, got {rows}"):
+                cf_matrix(Fraction(1), rows)
 
     @pytest.mark.parametrize("b0", [2, 1, -1, Fraction(1, 2), Fraction(-3, 7), 0])
     def test_closed_form_equals_evaluated_cf_coeffs(self, b0):
