@@ -139,7 +139,7 @@ def invert_triangle(T: Triangle) -> Triangle:
         raise ValueError("cannot invert an empty triangle")
     head = T.rows[0][0]
     if head * head != 1:
-        raise ValueError(f"t_(0,0) = {head} is not invertible; need +-1")
+        raise ValueError(f"inversion needs t_(0,0) = +-1, got {head}")
     G = from_coeffs(QY, T.row_polynomials())
     reverted = G.mul_x().revert().div_x()
     return build_from_bgf(reverted, T.n_rows)

@@ -39,6 +39,11 @@ def as_ints(T):
     return [[int(e) for e in row] for row in T.rows]
 
 
+def suite_report(suite):
+    (report,) = verify.run(suite)
+    return report
+
+
 def assert_verified(report, bounds):
     """Each check named in ``bounds`` passes in a ``verify`` report, at the
     bound given for it: the last integer in the check's detail."""
@@ -85,7 +90,7 @@ def test_printed_matrix_reproduction():
 def test_duality_routes():
     with criterion("duality routes (a)-(d) agree identically for n <= 16"):
         assert_verified(
-            verify.duality_suite(),
+            suite_report("duality"),
             dict.fromkeys(
                 [
                     "route agreement: series reversion vs exponential array",
@@ -101,7 +106,7 @@ def test_duality_routes():
 def test_lagrange_proposition():
     with criterion("reversion coefficients over Q[a][b] equal C_n*sum binom(n-i,i)a^(n-2i)b^i, n <= 12"):
         assert_verified(
-            verify.lagrange_suite(),
+            suite_report("lagrange"),
             {
                 "reversion coefficients equal the bivariate closed form": 12,
                 "coefficient extraction for x - x^2": 12,
@@ -129,7 +134,7 @@ def test_closed_form_reversion():
 def test_hankel_transforms():
     with criterion("Hankel transforms reproduce both printed sequences and match their rational GFs to 10 terms"):
         assert_verified(
-            verify.hankel_suite(),
+            suite_report("hankel"),
             {
                 "Hankel transform of duals at y=1": 6,
                 "transform at y=1 matches its rational generating function": 10,
@@ -142,7 +147,7 @@ def test_hankel_transforms():
 def test_row_sums():
     with criterion("row sums equal C_n*F_(n+1) at b=1 and C_n*J_(n+1) at b=2 for n <= 12"):
         assert_verified(
-            verify.fundamental_suite(),
+            suite_report("fundamental"),
             {
                 "row sums at b=1 are C_n * F_(n+1)": 12,
                 "row sums at b=2 are C_n * J_(n+1)": 12,
@@ -153,7 +158,7 @@ def test_row_sums():
 def test_fundamental_theorem():
     with criterion("central-pair row sums expand the reciprocal GF to order 16; reciprocal polynomials reproduced"):
         assert_verified(
-            verify.fundamental_suite(),
+            suite_report("fundamental"),
             {
                 "row sums expand the reciprocal at (a,b)=(1,1)": 16,
                 "row sums expand the reciprocal at (a,b)=(1,2)": 16,
@@ -167,7 +172,7 @@ def test_fundamental_theorem():
 def test_path_oracles():
     with criterion("exhaustive path/tiling enumeration matches every closed form at the stated bounds"):
         assert_verified(
-            verify.paths_suite(),
+            suite_report("paths"),
             {
                 "level steps count |dual Fibonacci coefficients|": 12,
                 "up steps count binom(n,2k)*C_k": 12,
@@ -182,7 +187,7 @@ def test_path_oracles():
 def test_involution():
     with criterion("double inversion restores all three invertible triangles at 16 rows"):
         assert_verified(
-            verify.involution_suite(),
+            suite_report("involution"),
             dict.fromkeys(
                 [
                     "double inversion restores Fibonacci coefficient triangle",
@@ -196,7 +201,7 @@ def test_involution():
 
 def test_documented_discrepancies():
     with criterion("verify report flags the two formula/matrix discrepancies without hiding them"):
-        report = verify.duality_suite()
+        report = suite_report("duality")
         flags = [n for n in report.notes if n.startswith("DISCREPANCY")]
         assert len(flags) == 2
         assert any("parity gate" in n or "(1+(-1)^(n-k))/2" in n for n in flags)

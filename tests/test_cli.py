@@ -116,7 +116,7 @@ class TestTriangleCommand:
         code, _, err = run_cli(
             capsys, "triangle", "--gf", "2/(1-x)", "--rows", "3", "--invert"
         )
-        assert code == 1 and "not invertible" in err
+        assert (code, err) == (1, "error: inversion needs t_(0,0) = +-1, got 2\n")
 
     def test_gf_in_a_and_b_gives_polynomial_entries(self, capsys):
         # No y: the ring is Q[a][b], b is the row variable, entries are in a.
@@ -318,6 +318,28 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL always wrong" in out
         assert out.strip().endswith("1 failed")
+
+    def test_failing_row_names_its_first_mismatch(self, capsys, monkeypatch):
+        from riordan import paths
+        from riordan.families import dual_fib_coeff
+
+        count_paths = paths.count_paths
+
+        def off_by_one(cls, n, k):  # one wrong count of the level-step statistic
+            wrong = (cls.statistic, cls.variant, n, k) == ("level_steps", "motzkin", 9, 3)
+            return count_paths(cls, n, k) + wrong
+
+        monkeypatch.setattr(paths, "count_paths", off_by_one)
+        code, out, _ = run_cli(capsys, "verify", "paths")
+        want = [abs(dual_fib_coeff(9, k)) for k in range(10)]
+        got = want.copy()
+        got[3] += 1
+        assert code == 1
+        assert (
+            f"  FAIL level steps count |dual Fibonacci coefficients|: "
+            f"first mismatch at index 9: {got} != {want}"
+        ) in out.splitlines()
+        assert out.strip().endswith("6 checks, 1 failed")
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ import known_values as kv
 from riordan.exact import QA, QAB, QQ, QY, binomial, catalan
 from riordan.families import (
     TRIANGLES,
+    a111959_coeff,
     bessel_j0,
     bessel_j1_over_x,
     cf_coeffs,
@@ -20,12 +21,14 @@ from riordan.families import (
     dual_fib_polys_by_reversion,
     fib_coeff,
     pair_a111959,
+    pair_central,
     pair_exp_j0,
     reciprocal_polys,
     tilde_coeff,
     tilde_poly_hypergeom,
     tildetilde_coeff,
 )
+from riordan.gfparse import eval_gf
 from riordan.series import generator_series, x_series
 from riordan.triangles import (
     build_exponential,
@@ -167,6 +170,16 @@ class TestClosedFormTriangles:
     def test_equals_independent_route(self, name):
         assert TRIANGLES[name](40) == INDEPENDENT_ROUTES[name](40)
 
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 1), (3, -2)])
+    def test_central_pair_at_a_and_b(self, a, b):
+        # the a111959 entries scaled by a^k b^((n-k)/2), zero where n-k is odd
+        T = build_ordinary(pair_central(a, b, 16), 16)
+        for n, row in enumerate(T.rows):
+            assert list(row) == [
+                0 if (n - k) % 2 else a**k * b ** ((n - k) // 2) * a111959_coeff(n, k)
+                for k in range(n + 1)
+            ]
+
 
 class TestHypergeometric:
     def test_small_values(self):
@@ -253,6 +266,12 @@ class TestCfMatrices:
     def test_inversion_first_column(self):
         T = invert_triangle(cf_matrix(Fraction(1), 9))
         assert [row[0] for row in T.rows] == [1, 0, -2, 0, -2, 0, -4, 0, -10]
+
+    @pytest.mark.parametrize("b", ["1", "2", "1/3", "-5/2", "0"])
+    def test_inversion_is_the_closed_form_bgf(self, b):
+        # the inverted array is read off sqrt(1-4bx^2) - yx: a square root, no reversion
+        closed = build_from_bgf(eval_gf(f"sqrt(1-4*({b})*x^2)-y*x", 24), 24)
+        assert invert_triangle(cf_matrix(Fraction(b), 24)) == closed
 
     def test_zero_rows(self):
         # the zero-size contract of the named cf-coeff triangle it evaluates
