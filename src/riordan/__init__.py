@@ -21,8 +21,8 @@ _EXPORTS = {
     **dict.fromkeys(("GfEvalError", "ParseError", "eval_ast", "eval_gf", "parse"), "gfparse"),
     "hankel_transform": "hankel",
     **dict.fromkeys(("PathClass", "count_paths", "count_tilings"), "paths"),
-    **dict.fromkeys(("PowerSeries", "constant", "from_coeffs", "generator_series", "one",
-                     "x_series"), "series"),
+    **dict.fromkeys(("PowerSeries", "constant", "from_coeffs", "generator_series", "x_series"),
+                    "series"),
     **dict.fromkeys(("RiordanPair", "Triangle", "build_exponential", "build_from_bgf",
                      "build_ordinary", "eval_rows", "invert_triangle", "row_sums"),
                     "triangles"),

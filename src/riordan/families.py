@@ -208,34 +208,24 @@ def pair_a111959(order: int) -> RiordanPair:
     return pair_central(1, 1, order)
 
 
-def bessel_j1_over_x(order: int) -> PowerSeries:
-    """Series of J_1(2x)/x: sum (-1)^m x^(2m) / (m! (m+1)!)."""
+def bessel(nu: int, order: int) -> PowerSeries:
+    """Series of J_nu(2x)/x^nu: sum (-1)^m x^(2m) / (m! (m+nu)!)."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     coeffs = [QQ.zero()] * order
     for m in range(0, (order + 1) // 2):
-        coeffs[2 * m] = Fraction((-1) ** m, math.factorial(m) * math.factorial(m + 1))
-    return from_coeffs(QQ, coeffs)
-
-
-def bessel_j0(order: int) -> PowerSeries:
-    """Series of J_0(2x): sum (-1)^m x^(2m) / (m!)^2."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    coeffs = [QQ.zero()] * order
-    for m in range(0, (order + 1) // 2):
-        coeffs[2 * m] = Fraction((-1) ** m, math.factorial(m) ** 2)
+        coeffs[2 * m] = Fraction((-1) ** m, math.factorial(m) * math.factorial(m + nu))
     return from_coeffs(QQ, coeffs)
 
 
 def pair_exp_j1(order: int) -> RiordanPair:
     """Exponential pair [J_1(2x)/x, -x]: the dual Fibonacci coefficient array."""
-    return RiordanPair(bessel_j1_over_x(order), -x_series(QQ, order), kind="exponential")
+    return RiordanPair(bessel(1, order), -x_series(QQ, order))
 
 
 def pair_exp_j0(order: int) -> RiordanPair:
     """Exponential pair [J_0(2x), -x]: the inversion of the central triangle."""
-    return RiordanPair(bessel_j0(order), -x_series(QQ, order), kind="exponential")
+    return RiordanPair(bessel(0, order), -x_series(QQ, order))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 A series carries exactly ``order`` coefficients c_0 .. c_{order-1}; binary
 operations truncate to the smaller order, so precision can shrink but never
-silently degrade.  Everything is exact: composition is Horner's rule in the
-series ring.  Reversion (Lagrange inversion, see ``PowerSeries.revert``) and
-the square root both form a power h^(p/q) by J.C.P. Miller's recurrence
-(``_miller_power``), summed over the nonzero coefficients of h only, with
-integer weights: the exponent is passed as p/q and q goes into the integer
-divisor of each step.  A square root needs the constant term to have an
-exact root.
+silently degrade.  A scalar operand of ``+ - * /`` is the constant series of
+the other operand's order, so each operation has one path.  Everything is
+exact: composition is Horner's rule in the series ring.  Reversion (Lagrange
+inversion, see ``PowerSeries.revert``) and the square root both form a power
+h^(p/q) by J.C.P. Miller's recurrence (``_miller_power``), summed over the
+nonzero coefficients of h only, with integer weights: the exponent is passed
+as p/q and q goes into the integer divisor of each step.  A square root
+needs the constant term to have an exact root.
 
 Every output coefficient of ``*``, ``/`` and ``_miller_power`` is one call
 of the ring's fused multiply-accumulate ``ring.dot`` (see ``exact``): the
@@ -49,30 +50,27 @@ class PowerSeries(Value):
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return PowerSeries(self.ring, self.coeffs[:order])
 
-    def _binary(self, other):
-        if isinstance(other, PowerSeries):
-            if other.ring is not self.ring:
-                raise TypeError(f"mixed series rings {self.ring!r} and {other.ring!r}")
-            return other
-        return None  # scalar
+    def _binary(self, other) -> "PowerSeries":
+        """The other operand as a series: a scalar is the constant series of
+        this order, or of order 1 when this one is order 0 (a constant needs
+        its one coefficient), and the result still truncates to order 0."""
+        if not isinstance(other, PowerSeries):
+            return constant(self.ring, other, max(len(self.coeffs), 1))
+        if other.ring is not self.ring:
+            raise TypeError(f"mixed series rings {self.ring!r} and {other.ring!r}")
+        return other
 
     def __neg__(self):
         return PowerSeries(self.ring, [-c for c in self.coeffs])
 
     def __add__(self, other):
         g = self._binary(other)
-        if g is None:
-            if not self.coeffs:
-                raise ValueError("cannot add a scalar to an order-0 series")
-            c = self.ring.coerce(other)
-            return PowerSeries(self.ring, (self.coeffs[0] + c,) + self.coeffs[1:])
-        n = min(len(self.coeffs), len(g.coeffs))
-        return PowerSeries(self.ring, [self.coeffs[i] + g.coeffs[i] for i in range(n)])
+        return PowerSeries(self.ring, [a + b for a, b in zip(self.coeffs, g.coeffs)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, PowerSeries) else -self.ring.coerce(other))
+        return self + -self._binary(other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -80,9 +78,6 @@ class PowerSeries(Value):
     def __mul__(self, other):
         g = self._binary(other)
         ring = self.ring
-        if g is None:
-            c = ring.coerce(other)
-            return PowerSeries(ring, [a * c for a in self.coeffs])
         n = min(len(self.coeffs), len(g.coeffs))
         # the terms of each out_k: one per pair of nonzero f_i, g_j, i + j = k
         sums = [[] for _ in range(n)]
@@ -100,9 +95,6 @@ class PowerSeries(Value):
         """Long division; the divisor needs an invertible constant term."""
         ring = self.ring
         g = self._binary(other)
-        if g is None:
-            inv = ring.invert(ring.coerce(other))
-            return PowerSeries(ring, [a * inv for a in self.coeffs])
         if not g.coeffs or not g.coeffs[0]:
             raise ZeroDivisionError("division by series with zero constant term")
         inv0, one = ring.invert(g.coeffs[0]), ring.one()
@@ -122,10 +114,10 @@ class PowerSeries(Value):
         return PowerSeries(ring, out)
 
     def __rtruediv__(self, other):
-        return constant(self.ring, other, len(self.coeffs)) / self
+        return self._binary(other) / self
 
     def __pow__(self, n: int):
-        return power_by_squaring(self, n, one(self.ring, len(self.coeffs)), "series")
+        return power_by_squaring(self, n, self._binary(1), "series")
 
     def mul_x(self) -> "PowerSeries":
         """Multiply by x; the order grows by one (explicitly, never silently)."""
@@ -280,10 +272,6 @@ def from_coeffs(ring, coeffs, order: int | None = None) -> PowerSeries:
 
 def constant(ring, value, order: int) -> PowerSeries:
     return from_coeffs(ring, [value], order)
-
-
-def one(ring, order: int) -> PowerSeries:
-    return constant(ring, 1, order)
 
 
 def x_series(ring, order: int) -> PowerSeries:

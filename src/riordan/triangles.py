@@ -33,9 +33,6 @@ class Triangle(Value):
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def entry(self, n: int, k: int):
-        return self.rows[n][k]
-
     def row_polynomials(self) -> list[Polynomial]:
         """Row n as the polynomial sum_k t_{n,k} y^k."""
         ring = PolynomialRing(self.ring, "y")
@@ -46,14 +43,13 @@ class Triangle(Value):
 
 
 class RiordanPair(Value):
-    """An ``ordinary`` or ``exponential`` pair (d(x), h(x)) with d(0) != 0,
-    h(0) = 0 and h'(0) != 0."""
+    """A pair (d(x), h(x)) with d(0) != 0, h(0) = 0 and h'(0) != 0.  The
+    builder is the reading: ``build_ordinary`` reads it as an ordinary
+    Riordan array, ``build_exponential`` as an exponential one."""
 
-    __slots__ = ("d", "h", "kind")
+    __slots__ = ("d", "h")
 
-    def __init__(self, d: PowerSeries, h: PowerSeries, kind: str = "ordinary"):
-        if kind not in ("ordinary", "exponential"):
-            raise ValueError(f"kind must be 'ordinary' or 'exponential', got {kind!r}")
+    def __init__(self, d: PowerSeries, h: PowerSeries):
         if d.ring is not h.ring:
             raise TypeError("d and h must share a coefficient ring")
         if d.order == 0 or not d.coeffs[0]:
@@ -61,15 +57,15 @@ class RiordanPair(Value):
         if h.order == 0 or h.coeffs[0]:
             raise ValueError("h must have a zero constant term")
         if h.order < 2 or not h.coeffs[1]:
-            raise ValueError(f"{kind} pair needs h'(0) != 0")
-        super().__init__(d, h, kind)
+            raise ValueError("h must have a nonzero coefficient of x")
+        super().__init__(d, h)
 
     @property
     def ring(self):
         return self.d.ring
 
     def __repr__(self):
-        return f"<{self.kind} Riordan pair over {self.ring!r}>"
+        return f"<Riordan pair over {self.ring!r}>"
 
 
 def _column_series(pair: RiordanPair, n_rows: int):
@@ -86,8 +82,6 @@ def _column_series(pair: RiordanPair, n_rows: int):
 
 def build_ordinary(pair: RiordanPair, n_rows: int) -> Triangle:
     """Triangle with t_{n,k} = [x^n] d(x) h(x)^k."""
-    if pair.kind == "exponential":
-        raise ValueError("pair is exponential; use build_exponential")
     cols = list(_column_series(pair, n_rows))
     rows = [[cols[k][n] for k in range(n + 1)] for n in range(n_rows)]
     return Triangle(pair.ring, rows)
@@ -95,8 +89,6 @@ def build_ordinary(pair: RiordanPair, n_rows: int) -> Triangle:
 
 def build_exponential(pair: RiordanPair, n_rows: int) -> Triangle:
     """Triangle with t_{n,k} = (n!/k!) [x^n] d(x) h(x)^k."""
-    if pair.kind != "exponential":
-        raise ValueError(f"pair kind is {pair.kind}, not exponential")
     cols = list(_column_series(pair, n_rows))
     rows = []
     for n in range(n_rows):
@@ -107,25 +99,20 @@ def build_exponential(pair: RiordanPair, n_rows: int) -> Triangle:
 
 def build_from_bgf(G: PowerSeries, n_rows: int) -> Triangle:
     """Rows from a bivariate generating function: row n is [x^n] G as a
-    polynomial in the coefficient variable, padded to length n+1."""
+    polynomial in the coefficient variable, padded to length n+1.  A series
+    over Q is lifted to Q[y], constant in y."""
     if n_rows < 0:
         raise ValueError(f"need n_rows >= 0, got {n_rows}")
     if G.order < n_rows:
         raise ValueError(f"series order {G.order} too small for {n_rows} rows")
-    ring = G.ring
+    if G.ring is QQ:
+        G = from_coeffs(QY, G.coeffs[:n_rows])
     rows = []
-    for n in range(n_rows):
-        c = G.coeffs[n]
-        if isinstance(ring, PolynomialRing):
-            if c.degree > n:
-                raise ValueError(
-                    f"coefficient of x^{n} has degree {c.degree}: not lower-triangular"
-                )
-            rows.append(c.padded(n + 1))
-        else:
-            rows.append([c] + [ring.zero()] * n)
-    base = ring.base if isinstance(ring, PolynomialRing) else ring
-    return Triangle(base, rows)
+    for n, c in enumerate(G.coeffs[:n_rows]):
+        if c.degree > n:
+            raise ValueError(f"coefficient of x^{n} has degree {c.degree}: not lower-triangular")
+        rows.append(c.padded(n + 1))
+    return Triangle(G.ring.base, rows)
 
 
 def invert_triangle(T: Triangle) -> Triangle:

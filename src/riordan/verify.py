@@ -39,10 +39,6 @@ class SuiteReport(Value):
                  notes: list[str] | None = None):
         super().__init__(suite, [] if checks is None else checks, [] if notes is None else notes)
 
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
 
 def _compare(name: str, detail: str, got, want) -> Check:
     """The check that ``got`` and ``want`` are equal term by term; on a

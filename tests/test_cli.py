@@ -75,6 +75,13 @@ class TestTriangleCommand:
             ",".join(str(e) for e in row) for row in kv.FIB_TRIANGLE
         ]
 
+    def test_y_free_gf_triangle(self, capsys):
+        # a series over Q is a triangle constant in y: row n is [x^n] G, then zeros
+        code, out, _ = run_cli(capsys, "triangle", "--gf", "1/(1-x)", "--rows", "3")
+        assert code == 0 and out.splitlines() == ["1", "1 0", "1 0 0"]
+        code, out, _ = run_cli(capsys, "triangle", "--gf", "1/(1-x)", "--rows", "3", "--invert")
+        assert code == 0 and out.splitlines() == [" 1", "-1 0", " 1 0 0"]
+
     def test_gf_constant(self, capsys):
         code, out, _ = run_cli(capsys, "triangle", "--gf", "1", "--rows", "1")
         assert code == 0 and out.strip() == "1"

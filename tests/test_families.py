@@ -9,8 +9,7 @@ from riordan.exact import QA, QAB, QQ, QY, binomial, catalan
 from riordan.families import (
     TRIANGLES,
     a111959_coeff,
-    bessel_j0,
-    bessel_j1_over_x,
+    bessel,
     cf_coeffs,
     cf_matrix,
     dual_cf_sequence,
@@ -130,7 +129,7 @@ class TestTriangleTable:
     @pytest.mark.parametrize("name", list(TRIANGLES))
     def test_every_entry_double_inverts(self, name):
         T = TRIANGLES[name](16)
-        assert T.ring == QQ and T.n_rows == 16 and T.entry(0, 0) == 1
+        assert T.ring == QQ and T.n_rows == 16 and T.rows[0][0] == 1
         assert invert_triangle(invert_triangle(T)) == T
 
     @pytest.mark.parametrize("name", list(TRIANGLES))
@@ -254,14 +253,14 @@ class TestCfMatrices:
         for n in range(7):
             for k in range(n + 1):
                 expected = catalan(n) if k == n else 0
-                assert T.entry(n, k) == expected
+                assert T.rows[n][k] == expected
 
     def test_alternating_zero_pattern(self):
         T = cf_matrix(Fraction(3), 9)
         for n in range(9):
             for k in range(n + 1):
                 if (n - k) % 2:
-                    assert T.entry(n, k) == 0
+                    assert T.rows[n][k] == 0
 
     def test_inversion_first_column(self):
         T = invert_triangle(cf_matrix(Fraction(1), 9))
@@ -316,9 +315,9 @@ class TestDualRoutes:
 
 
 class TestBessel:
-    @pytest.mark.parametrize("series", [bessel_j0, bessel_j1_over_x])
-    def test_negative_order_is_an_error(self, series):
-        assert series(0).order == 0
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_negative_order_is_an_error(self, nu):
+        assert bessel(nu, 0).order == 0
         for order in (-1, -3):
             with pytest.raises(ValueError, match=f"order must be >= 0, got {order}"):
-                series(order)
+                bessel(nu, order)

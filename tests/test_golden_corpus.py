@@ -2,11 +2,13 @@
 
 Runs each command of perfbench/corpus.json in-process through
 ``riordan.cli.main`` and compares its stdout with perfbench/golden/, the
-stdout of the reference implementation.  perfbench/ is only read here.
+stdout of the reference implementation.  perfbench/ is only read here.  The
+``readme`` workload is the README's CLI block, command for command.
 """
 
 import io
 import json
+import shlex
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -14,7 +16,8 @@ import pytest
 
 from riordan.cli import main
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 CORPUS = json.loads((BENCH / "corpus.json").read_text())
 COMMANDS = [
     (workload, index, argv)
@@ -33,3 +36,10 @@ def test_stdout_matches_golden(workload, index, argv):
     assert code == 0
     golden = (BENCH / "golden" / workload / f"{index:02d}.out").read_bytes()
     assert out.getvalue().encode() == golden
+
+
+def test_readme_cli_block_is_the_readme_workload():
+    block = (ROOT / "README.md").read_text().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert {argv[0] for argv in commands} == {"riordan"}
+    assert [argv[1:] for argv in commands] == CORPUS["workloads"]["readme"]["commands"]

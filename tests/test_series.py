@@ -4,6 +4,7 @@ Derived expectations are produced by small independent oracles written with
 plain Fraction lists (no PowerSeries involvement) and frozen here.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,18 @@ from hypothesis import given, settings, strategies as st
 from riordan.exact import QAB, QQ, QY, binomial
 from riordan.families import cf_matrix
 from riordan.series import _miller_power, constant, from_coeffs, generator_series, x_series
-from strategies import nonzero_q_values, q_polys, q_series, q_values, zeros
+from strategies import (
+    nonzero_q_values,
+    q_elements,
+    q_inputs,
+    q_polys,
+    q_series,
+    q_units,
+    q_values,
+    qab_elements,
+    qy_elements,
+    zeros,
+)
 from test_canonical import is_canonical_q
 
 
@@ -151,6 +163,41 @@ class TestArithmetic:
         f = x_series(QQ, 4)
         with pytest.raises(AttributeError):
             f.coeffs = ()
+
+
+RINGS = {"Q": (QQ, q_elements), "Q[y]": (QY, qy_elements), "Q[a][b]": (QAB, qab_elements)}
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+class TestScalarOperands:
+    """A scalar operand is the constant series of the other operand's order."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("op", OPERATORS)
+    @pytest.mark.parametrize("ring_name", RINGS)
+    def test_scalar_is_the_constant_series(self, ring_name, op, data):
+        ring, elements = RINGS[ring_name]
+        # a divisor on either side of / is a unit: the scalar and the head of s
+        head = q_units if op == "/" else elements
+        s = data.draw(st.builds(lambda h, t: from_coeffs(ring, [h, *t]),
+                                head, st.lists(elements, max_size=5)))
+        c = data.draw(q_units if op == "/" else st.one_of(q_inputs, elements))
+        f, const = OPERATORS[op], constant(ring, c, s.order)
+        assert f(s, c) == f(s, const)
+        assert f(c, s) == f(const, s)
+
+    @pytest.mark.parametrize("op", OPERATORS)
+    @pytest.mark.parametrize("ring_name", RINGS)
+    def test_order_zero_stays_order_zero(self, ring_name, op):
+        s = from_coeffs(RINGS[ring_name][0], [])
+        f = OPERATORS[op]
+        assert f(s, 2) == s
+        if op == "/":  # an order-0 divisor has no constant term to invert
+            with pytest.raises(ZeroDivisionError):
+                2 / s
+        else:
+            assert f(2, s) == s
 
 
 class TestSqrt:

@@ -27,9 +27,9 @@ def rows_of(T):
     return [[int(e) for e in row] for row in T.rows]
 
 
-def identity_pair(order, kind="ordinary"):
+def identity_pair(order):
     x = x_series(QQ, order)
-    return RiordanPair(1 + 0 * x, x, kind=kind)
+    return RiordanPair(1 + 0 * x, x)
 
 
 class TestBuildOrdinary:
@@ -37,22 +37,14 @@ class TestBuildOrdinary:
         with pytest.raises(ValueError):
             build_ordinary(pair_fib(4), 6)
 
-    def test_rejects_exponential_pair(self):
-        with pytest.raises(ValueError):
-            build_ordinary(pair_exp_j1(8), 6)
-
 
 class TestBuildExponential:
     def test_dual_fib_array(self):
         assert rows_of(build_exponential(pair_exp_j1(8), 6)) == kv.DUAL_FIB_TRIANGLE
 
     def test_identity(self):
-        T = build_exponential(identity_pair(8, kind="exponential"), 6)
+        T = build_exponential(identity_pair(8), 6)
         assert rows_of(T) == [[1 if i == n else 0 for i in range(n + 1)] for n in range(6)]
-
-    def test_rejects_ordinary_pair(self):
-        with pytest.raises(ValueError):
-            build_exponential(pair_fib(8), 6)
 
 
 class TestBuildFromBgf:
@@ -222,9 +214,7 @@ class TestRiordanPair:
         with pytest.raises(ValueError):
             RiordanPair(1 + x, 1 + x)  # h(0) != 0
         with pytest.raises(ValueError):
-            RiordanPair(1 + x, x * x)  # ordinary needs h'(0) != 0
-        with pytest.raises(ValueError, match="kind must be 'ordinary' or 'exponential'"):
-            RiordanPair(1 + x, x * x, kind="stretched")
+            RiordanPair(1 + x, x * x)  # h'(0) == 0
 
     def test_mixed_rings_rejected(self):
         with pytest.raises(TypeError):

@@ -215,11 +215,11 @@ class TestReports:
     def test_positional_construction(self):
         report = SuiteReport("s", [Check("c", False, "d")])
         assert report.suite == "s" and report.checks == [Check("c", False, "d")]
-        assert report.notes == [] and not report.ok
+        assert report.notes == [] and not all(c.ok for c in report.checks)
 
     def test_each_report_owns_its_lists(self):
         a, b = SuiteReport("a"), SuiteReport("b")
         a.checks.append(Check("c", True))
         a.notes.append("note")
         assert b.checks == [] and b.notes == []
-        assert a.ok and a.checks == [Check("c", True)]
+        assert a.checks == [Check("c", True)] and all(c.ok for c in a.checks)
