@@ -140,7 +140,6 @@ class RationalField(Value):
     ``QQ``, its one instance, which copies and unpickles as itself."""
 
     __slots__ = ()
-    var = None
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __new__(cls):
@@ -244,7 +243,7 @@ class PolynomialRing(Value):
             raise ZeroDivisionError(f"{p} is not a unit of {self}")
         if not p:
             raise ZeroDivisionError(f"inverse of 0 in {self}")
-        return self.coerce(self.base.invert(p.coefficient(0)))
+        return self.coerce(self.base.invert(p.coeffs[0]))
 
     def sqrt(self, x) -> "Polynomial":
         p = self.coerce(x)
@@ -252,7 +251,7 @@ class PolynomialRing(Value):
             raise ValueError(f"square root of non-constant polynomial {p}")
         if not p:
             return self.zero()
-        return self.coerce(self.base.sqrt(p.coefficient(0)))
+        return self.coerce(self.base.sqrt(p.coeffs[0]))
 
     def dot(self, terms, den: int = 1) -> "Polynomial":
         """(The sum of w * x * y over the triples (w, x, y)) / den, for ints
@@ -317,7 +316,7 @@ class Polynomial(Value):
     ``coeffs`` is the public view, a tuple of base elements: canonical
     rationals over Q (an ``int`` when integral, else a ``Fraction``), which
     is ``_c`` itself when ``_den`` is 1 and is built on each access
-    otherwise, for rendering and callers outside the arithmetic.
+    otherwise; every reader outside the arithmetic reads through it.
     """
 
     __slots__ = ("ring", "_c", "_den")
@@ -346,22 +345,6 @@ class Polynomial(Value):
         """Degree, with the zero polynomial at -1."""
         return len(self._c) - 1
 
-    def coefficient(self, k: int):
-        """Coefficient of var^k (zero beyond the stored degree)."""
-        if k < 0:
-            raise IndexError(f"negative coefficient index {k}")
-        if k >= len(self._c):
-            return self.ring.base.zero()
-        den = self._den
-        return self._c[k] if den == 1 else rational(self._c[k], den)
-
-    def padded(self, length: int) -> list:
-        """Ascending coefficients padded with zeros to exactly ``length``."""
-        if len(self._c) > length:
-            raise ValueError(f"degree {self.degree} exceeds padded length {length}")
-        zero = self.ring.base.zero()
-        return list(self.coeffs) + [zero] * (length - len(self._c))
-
     def __bool__(self):
         return bool(self._c)
 
@@ -377,7 +360,7 @@ class Polynomial(Value):
         if not self._c:
             return hash(0)
         if len(self._c) == 1:
-            return hash(self.coefficient(0))
+            return hash(self.coeffs[0])
         return hash((self.ring.var, self._c, self._den))
 
     def __neg__(self):
@@ -439,16 +422,6 @@ class Polynomial(Value):
             q_power *= q
             acc = acc * p + c * q_power
         return rational(acc, q_power * self._den)
-
-    def shift_down(self, k: int) -> "Polynomial":
-        """Exact division by var^k; raises unless divisible."""
-        if k < 0:
-            raise ValueError(f"shift must be >= 0, got {k}")
-        for c in self._c[:k]:
-            if c:
-                raise ValueError(f"{self} is not divisible by {self.ring.var}^{k}")
-        # dropping zeros keeps the content, so the result stays canonical
-        return _make(self.ring, self._c[k:], self._den if len(self._c) > k else 1)
 
     def __str__(self):
         return format_element(self)

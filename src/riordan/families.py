@@ -290,7 +290,9 @@ def dual_fib_polys_by_laurent(n_max: int) -> tuple[Polynomial, ...]:
         lifted = [QQ.zero()] * (2 * n + 1)
         for k in range(n + 1):
             lifted[2 * k] = tilde_coeff(n, k)
-        out.append(QY.poly(lifted).shift_down(n))
+        if any(lifted[:n]):
+            raise ValueError(f"{QY.poly(lifted)} is not divisible by y^{n}")
+        out.append(QY.poly(lifted[n:]))
     return tuple(out)
 
 

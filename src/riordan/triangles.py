@@ -107,11 +107,11 @@ def build_from_bgf(G: PowerSeries, n_rows: int) -> Triangle:
         raise ValueError(f"series order {G.order} too small for {n_rows} rows")
     if G.ring is QQ:
         G = from_coeffs(QY, G.coeffs[:n_rows])
-    rows = []
+    rows, zero = [], G.ring.base.zero()
     for n, c in enumerate(G.coeffs[:n_rows]):
         if c.degree > n:
             raise ValueError(f"coefficient of x^{n} has degree {c.degree}: not lower-triangular")
-        rows.append(c.padded(n + 1))
+        rows.append([*c.coeffs, *[zero] * (n - c.degree)])
     return Triangle(G.ring.base, rows)
 
 

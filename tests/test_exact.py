@@ -138,16 +138,6 @@ class TestPolynomial:
         assert (1 + y) ** 3 == 1 + 3 * y + 3 * y ** 2 + y ** 3
         assert (y ** 0) == 1
 
-    def test_shift_down(self):
-        y = QY.generator()
-        p = 3 * y ** 4 - y ** 6
-        assert p.shift_down(3) == 3 * y - y ** 3
-        with pytest.raises(ValueError):
-            (1 + y).shift_down(1)
-        for p, k in ((y ** 2, -1), (y ** 3, -2)):
-            with pytest.raises(ValueError, match=f"shift must be >= 0, got {k}"):
-                p.shift_down(k)
-
     def test_bivariate_nesting(self):
         a = QAB.coerce(QA.generator())
         b = QAB.generator()
@@ -163,12 +153,6 @@ class TestPolynomial:
         a = QA.generator()
         with pytest.raises(TypeError):
             y + a
-
-    def test_padded(self):
-        p = QY.poly([1, 2])
-        assert p.padded(4) == [1, 2, 0, 0]
-        with pytest.raises(ValueError):
-            p.padded(1)
 
     def test_immutable(self):
         p = QY.poly([1, 2])
@@ -325,17 +309,6 @@ class TestKernelAgainstOracle:
         for (i, j), c in terms(p).items():
             want = o_add(want, o_mul({(i,): c}, o_pow(terms(v), j, {(0,): Fraction(1)})))
         assert terms(got) == want
-
-    @given(poly_pairs(), st.integers(0, 3))
-    def test_shift_down(self, pq, k):
-        p, _, unit = pq
-        var_k = QY.generator() ** k if unit == (0,) else QAB.generator() ** k
-        got = (p * var_k).shift_down(k)
-        assert_canonical(got)
-        assert got == p
-        if k and p and terms(p).get(unit):
-            with pytest.raises(ValueError):
-                p.shift_down(k)
 
 
 class TestKernelInvariants:

@@ -111,7 +111,7 @@ class TestEvaluation:
 
     def test_stretched_rows(self):
         s = eval_gf("1/(1-x-y*x^2)", 6)
-        assert [p.padded(n + 1) for n, p in enumerate(s.coeffs)] == [
+        assert [[*p.coeffs, *[0] * (n - p.degree)] for n, p in enumerate(s.coeffs)] == [
             [1],
             [1, 0],
             [1, 1, 0],

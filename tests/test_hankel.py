@@ -207,6 +207,24 @@ class TestOnePassTransform:
             2**n * Fraction(y) ** (n * (n + 1) // 2) for n in range(20)
         ]
 
+    @pytest.mark.parametrize(
+        "y", [1, -1, 2, Fraction(1, 2), -3, Fraction(5, 7), Fraction(-1, 4), Fraction(11, 3)], ids=str
+    )
+    def test_dual_cf_values_closed_form(self, y):
+        # a closed form, over Q at eight points (1/2 is the benchmark's
+        # dual-cf@1/2): the dual Catalan-Fibonacci values have
+        # h_k = y^(T_k - 1) (A_k y + B_k) with T_k = k(k+1)/2,
+        # A_2j = (2j+1) 4^j, A_2j+1 = -2 A_2j, B_0 = 0, B_2j+1 = -(j+1) 4^j
+        # and B_2j+2 = -2 B_2j+1
+        y = Fraction(y)
+        want = []
+        for k in range(40):
+            j, odd = divmod(k, 2)
+            a = (2 * j + 1) * 4**j * (-2) ** odd
+            b = -(j + 1) * 4**j if odd else j * 4**j // 2
+            want.append(y ** (k * (k + 1) // 2 - 1) * (a * y + b))
+        assert hankel_transform(dual_values(y, 79), 39) == want
+
     @given(hankel_sources(max_m=4))
     def test_result_type_depends_only_on_the_terms_used(self, source):
         seq, m = source

@@ -18,7 +18,7 @@ CASES = {
     "triangle": (Triangle(QQ, [[1], [1, 1]]), "rows", "ring"),
     "Riordan pair": (pair_fib(6), "d", "ring"),
     "QY": (QY, "base", "var"),
-    "QQ": (QQ, "var", "var"),
+    "QQ": (QQ, "zero", "zero"),
     "Q[a][y]": (PolynomialRing(QA, "y"), "base", "var"),
 }
 
