@@ -8,14 +8,6 @@ series, triangles, Riordan pairs, the ``gfparse`` tokens, path classes and
 from __future__ import annotations
 
 
-def _restore(cls, values):
-    """Rebuild a ``cls`` from its slot values without running its constructor."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values, strict=True):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 class Value:
     """An immutable value whose fields are its ``__slots__``.
 
@@ -39,8 +31,10 @@ class Value:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __reduce__(self):
-        return _restore, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+    def __setstate__(self, state):
+        # the default protocol's state of a slotted object: (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -65,16 +65,22 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def exact_div(num: int, den: int) -> int:
+    """num / den for ints that divide exactly; ArithmeticError on a
+    remainder.  The one checked division behind the integral closed forms."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{num} not divisible by {den}")
+    return q
+
+
 @cache
 def catalan(n: int) -> int:
     """n-th Catalan number binomial(2n, n) / (n + 1); cached, because every
     closed-form Catalan-Fibonacci entry of a row asks for the same one."""
     if n < 0:
         raise ValueError(f"catalan: need n >= 0, got {n}")
-    q, r = divmod(math.comb(2 * n, n), n + 1)
-    if r:  # cannot happen, kept as a divisibility guard
-        raise ArithmeticError(f"catalan({n}) not integral")
-    return q
+    return exact_div(math.comb(2 * n, n), n + 1)
 
 
 def fibonacci(n: int) -> int:
@@ -488,9 +494,14 @@ def _format_coefficient(c) -> tuple[str, bool]:
 
 def format_element(x) -> str:
     """Canonical exact rendering: integers bare, rationals p/q, polynomials
-    in descending powers with explicit '*'."""
+    in descending powers with explicit '*', whatever their number of digits
+    (see ``unlimited_int_digits``)."""
     if isinstance(x, (int, Fraction)):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # past the interpreter's int -> str digit limit
+            with unlimited_int_digits():
+                return str(x)
     if isinstance(x, Polynomial):
         coeffs = x.coeffs
         if not coeffs:

@@ -16,15 +16,9 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 
-from .exact import QQ, QY, QA, QAB, Polynomial, binomial, catalan
+from .exact import QQ, QY, QA, QAB, Polynomial, binomial, catalan, exact_div
 from .series import PowerSeries, from_coeffs, x_series, generator_series
 from .triangles import RiordanPair, Triangle, build_exponential
-
-def _exact_int_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"{num} not divisible by {den}")
-    return q
 
 
 def _check_indices(n: int, k: int) -> None:
@@ -55,7 +49,7 @@ def dual_fib_coeff(n: int, k: int) -> int:
 def tilde_coeff(n: int, k: int) -> int:
     """Entries (-1)^k/(k+1) binom(n,k) binom(k+1, n-k+1); always integral."""
     _check_indices(n, k)
-    return (-1) ** k * _exact_int_div(
+    return (-1) ** k * exact_div(
         binomial(n, k) * binomial(k + 1, n - k + 1), k + 1
     )
 
@@ -85,7 +79,7 @@ def a111959_coeff(n: int, k: int) -> int:
     if (n - k) % 2:
         return 0
     m = (n - k) // 2
-    return _exact_int_div(2**m * math.prod(range(k + 1, k + 2 * m, 2)), math.factorial(m))
+    return exact_div(2**m * math.prod(range(k + 1, k + 2 * m, 2)), math.factorial(m))
 
 
 def i0_dual_coeff(n: int, k: int) -> int:
@@ -114,12 +108,19 @@ def _closed_form(entry):
     return build
 
 
+def fundamental_root(a, b, x):
+    """sqrt(1 - 4bx^2) - ax, for the series x and scalars or series a, b.
+
+    Its reciprocal generates the row sums of ``pair_central(a, b)``, and at
+    a = 1, b = y it is behind ``dual_cf_sequence`` and ``reciprocal_polys``.
+    """
+    return (1 - 4 * b * x * x).sqrt() - a * x
+
+
 def _cf_root(order: int) -> PowerSeries:
     """sqrt(1 - 4yx^2) - x over Q[y], to at least 2 terms."""
     n = max(order, 2)
-    x = x_series(QY, n)
-    y = generator_series(QY, "y", n)
-    return (1 - 4 * y * x * x).sqrt() - x
+    return fundamental_root(1, generator_series(QY, "y", n), x_series(QY, n))
 
 
 def _pochhammer(x: Fraction, j: int) -> Fraction:

@@ -89,7 +89,7 @@ def _x_minus_x2():
 @cache
 def _x_root():
     """x(sqrt(1 - 4x^2) - x) below x^14."""
-    return _root(1, 1, x_series(QQ, 13)).mul_x()
+    return families.fundamental_root(1, 1, x_series(QQ, 13)).mul_x()
 
 
 _SHARED = (_reversion_route, _dual_cf_terms, _dual_cf_transform, _triangle, _x_minus_x2, _x_root)
@@ -115,15 +115,10 @@ def _up_cols(n: int) -> int:
     return n // 2 + 2
 
 
-def _root(a, b, x):
-    """sqrt(1 - 4 b x^2) - a x, for the series x and scalars or series a, b."""
-    return (1 - 4 * b * x * x).sqrt() - a * x
-
-
 def _ab_root(order: int):
     """sqrt(1 - 4bx^2) - ax over Q[a][b], below x^order."""
     a, b = (generator_series(QAB, v, order) for v in "ab")
-    return _root(a, b, x_series(QAB, order))
+    return families.fundamental_root(a, b, x_series(QAB, order))
 
 
 def _reverted(f) -> list:
@@ -174,7 +169,7 @@ def _reciprocal_row(a: int, b: int) -> tuple:
     # closed-form row sums in integers against the series of the reciprocal
     return ("fundamental", f"row sums expand the reciprocal at (a,b)=({a},{b})", "order 16",
             partial(_central_row_sums, a, b),
-            lambda: (1 / _root(a, b, x_series(QQ, 16))).coeffs)
+            lambda: (1 / families.fundamental_root(a, b, x_series(QQ, 16))).coeffs)
 
 
 def _involution_row(label: str, pair) -> tuple:

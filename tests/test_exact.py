@@ -1,5 +1,6 @@
 """Arithmetic kernel: numbers, rings, polynomials."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from riordan.exact import (
     Polynomial,
     binomial,
     catalan,
+    exact_div,
     exact_sqrt,
     fibonacci,
     format_element,
@@ -53,6 +55,11 @@ class TestNumbers:
     def test_catalan_rejects_negative(self):
         with pytest.raises(ValueError):
             catalan(-1)
+
+    def test_exact_div(self):
+        assert exact_div(42, 6) == 7 and exact_div(-42, 6) == -7
+        with pytest.raises(ArithmeticError, match="43 not divisible by 6"):
+            exact_div(43, 6)
 
     def test_jacobsthal_seed_and_recurrence(self):
         assert jacobsthal(1) == 1
@@ -178,6 +185,15 @@ class TestFormatting:
         assert format_element(14 * b ** 2 + 42 * a ** 2 * b + 14 * a ** 4) == (
             "14*b^2+42*a^2*b+14*a^4"
         )
+
+    def test_past_the_int_string_limit(self):
+        # 5001 digits: past the 4300-digit default of Python's int <-> str
+        # limit, which is in force here, outside the CLI
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        sevens = 7 * (10**5001 - 1) // 9
+        assert format_element(sevens) == "7" * 5001
+        assert str(QY.poly([sevens, 1])) == "y+" + "7" * 5001
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
 
 
 # ---------------------------------------------------------------------------

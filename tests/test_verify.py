@@ -95,11 +95,11 @@ SHARED = {
     "coefficient extraction for x(sqrt(1-4x^2) - x)": EXTRACTION | {
         "exact.RationalField.sqrt",
         "exact.exact_sqrt",
+        "families.fundamental_root",
         "series.PowerSeries.__rsub__",
         "series.PowerSeries.mul_x",
         "series.PowerSeries.sqrt",
         "series._miller_power",
-        "verify._root",
         "verify._x_root",
     },
     # the duals are a series over Q[y] evaluated at y0, the generating function
@@ -112,9 +112,9 @@ SHARED = {
     "up steps count binom(n,2k)*C_k": {"verify._matrix", "verify._up_cols"},
     "up-plus-level steps count |inverted-pair coefficients|": {"verify._matrix"},
     "square/domino tilings count the Fibonacci coefficients": {"verify._matrix"},
-    # both sides carry the factor C_n
-    "row sums at b=1 are C_n * F_(n+1)": {"exact.catalan"},
-    "row sums at b=2 are C_n * J_(n+1)": {"exact.catalan"},
+    # both sides carry the factor C_n, an exact quotient
+    "row sums at b=1 are C_n * F_(n+1)": {"exact.catalan", "exact.exact_div"},
+    "row sums at b=2 are C_n * J_(n+1)": {"exact.catalan", "exact.exact_div"},
 }
 
 # Rows that check a law on one route: inverting twice must give the input back.
