@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 FORMATS = ("table", "csv", "json", "bfile")
 
@@ -24,9 +23,11 @@ class CliError(Exception):
     pass
 
 
-def _parse_rational(text: str, what: str) -> Fraction:
+def _parse_rational(text: str, what: str):
+    from .exact import read_rational
+
     try:
-        return Fraction(text)
+        return read_rational(text)
     except ValueError as exc:
         raise CliError(f"bad {what} {text!r}: {exc}") from exc
     except ZeroDivisionError as exc:
@@ -199,30 +200,26 @@ def _silence_stdout() -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from .exact import unlimited_int_digits
-
     ok = True
     try:
-        # exact values are read and rendered whatever their number of digits
-        with unlimited_int_digits():
-            if args.command == "triangle":
-                from .triangles import eval_rows, invert_triangle
+        if args.command == "triangle":
+            from .triangles import eval_rows, invert_triangle
 
-                T = resolve_triangle(args.name, args.gf, args.rows)
-                if args.invert:
-                    T = invert_triangle(T)
-                if args.eval_at is not None:
-                    values = eval_rows(T, _parse_rational(args.eval_at, "--eval-at value"))
-                    text = render_sequence(values, args.format, args.offset)
-                else:
-                    text = render_triangle(T, args.format)
-            elif args.command == "sequence":
-                values = resolve_sequence(args.spec, args.terms)
+            T = resolve_triangle(args.name, args.gf, args.rows)
+            if args.invert:
+                T = invert_triangle(T)
+            if args.eval_at is not None:
+                values = eval_rows(T, _parse_rational(args.eval_at, "--eval-at value"))
                 text = render_sequence(values, args.format, args.offset)
             else:
-                from . import verify
+                text = render_triangle(T, args.format)
+        elif args.command == "sequence":
+            values = resolve_sequence(args.spec, args.terms)
+            text = render_sequence(values, args.format, args.offset)
+        else:
+            from . import verify
 
-                text, ok = render_reports(verify.run(args.suite))
+            text, ok = render_reports(verify.run(args.suite))
     except (CliError, ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 
@@ -70,7 +69,7 @@ def exact_div(num: int, den: int) -> int:
     remainder.  The one checked division behind the integral closed forms."""
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError(f"{num} not divisible by {den}")
+        raise ArithmeticError(f"{format_element(num)} not divisible by {format_element(den)}")
     return q
 
 
@@ -106,22 +105,23 @@ def jacobsthal(n: int) -> int:
     return a
 
 
-@contextmanager
-def unlimited_int_digits():
-    """Lift Python's limit on int <-> decimal string conversion (4300 digits
-    by default since 3.11 and in some 3.10 patch releases) for the body of
-    the ``with``, and restore the previous limit after it.  Exact values
-    have no size limit, so reading and printing them must not have one."""
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:  # an interpreter without the limit
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    set_limit(0)
+def without_digit_limit(convert, arg):
+    """``convert(arg)``, retried with Python's int <-> str digit limit
+    (4300 digits by default since 3.11 and in some 3.10 patch releases)
+    lifted, only when it raises ValueError, and restored after.  Exact
+    values have no size limit, so ``read_rational``, ``format_element`` and
+    each message that shows an exact value go through here."""
     try:
-        yield
+        return convert(arg)
+    except ValueError:
+        if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+            raise
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(arg)
     finally:
-        set_limit(previous)
+        sys.set_int_max_str_digits(previous)
 
 
 def rational(num: int, den: int) -> ExactRational:
@@ -133,11 +133,11 @@ def rational(num: int, den: int) -> ExactRational:
 def exact_sqrt(q: ExactRational) -> ExactRational:
     """Nonnegative square root of a rational, or ValueError if not exact."""
     if q < 0:
-        raise ValueError(f"exact_sqrt: {q} is negative")
+        raise ValueError(f"exact_sqrt: {format_element(q)} is negative")
     num, den = q.numerator, q.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
-        raise ValueError(f"exact_sqrt: {q} is not a perfect square")
+        raise ValueError(f"exact_sqrt: {format_element(q)} is not a perfect square")
     return rational(rn, rd)
 
 
@@ -492,16 +492,18 @@ def _format_coefficient(c) -> tuple[str, bool]:
     return s, need_parens
 
 
+def read_rational(text: str) -> ExactRational:
+    """The canonical element of Q that ``text`` writes in the grammar of
+    ``Fraction(text)``, of any number of digits; else ``Fraction``'s error."""
+    return QQ.coerce(without_digit_limit(Fraction, text))
+
+
 def format_element(x) -> str:
     """Canonical exact rendering: integers bare, rationals p/q, polynomials
     in descending powers with explicit '*', whatever their number of digits
-    (see ``unlimited_int_digits``)."""
+    (see ``without_digit_limit``)."""
     if isinstance(x, (int, Fraction)):
-        try:
-            return str(x)
-        except ValueError:  # past the interpreter's int -> str digit limit
-            with unlimited_int_digits():
-                return str(x)
+        return without_digit_limit(str, x)
     if isinstance(x, Polynomial):
         coeffs = x.coeffs
         if not coeffs:

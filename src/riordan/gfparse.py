@@ -37,7 +37,7 @@ from __future__ import annotations
 import operator
 
 from ._value import Value
-from .exact import QQ, QY, QAB, unlimited_int_digits
+from .exact import QQ, QY, QAB, read_rational
 from .series import PowerSeries, constant, x_series, generator_series
 
 VARIABLES = ("x", "y", "a", "b")
@@ -171,13 +171,13 @@ class _Compiler:
                     tok.pos,
                 )
             self.advance()
-            self.code.append(("^", caret.pos, int(tok.text)))
+            self.code.append(("^", caret.pos, read_rational(tok.text)))
 
     def atom(self) -> None:
         tok = self.current
         if tok.kind == "int":
             self.advance()
-            self.code.append(("num", tok.pos, int(tok.text)))
+            self.code.append(("num", tok.pos, read_rational(tok.text)))
         elif tok.kind == "name":
             self.advance()
             if tok.text in VARIABLES:
@@ -206,8 +206,7 @@ def parse(text: str) -> Program:
     """Compile generating-function text to a postfix program.  Integer
     literals have no digit limit."""
     compiler = _Compiler(_tokenize(text))
-    with unlimited_int_digits():
-        compiler.expr()
+    compiler.expr()
     tok = compiler.current
     if tok.kind != "end":
         raise ParseError(f"unexpected {tok.text!r} after expression", tok.pos)

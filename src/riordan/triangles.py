@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from ._value import Value
-from .exact import QQ, QY, PolynomialRing, Polynomial
+from .exact import QQ, QY, PolynomialRing, Polynomial, format_element
 from .series import PowerSeries, from_coeffs
 
 
@@ -126,7 +126,7 @@ def invert_triangle(T: Triangle) -> Triangle:
         raise ValueError("cannot invert an empty triangle")
     head = T.rows[0][0]
     if head * head != 1:
-        raise ValueError(f"inversion needs t_(0,0) = +-1, got {head}")
+        raise ValueError(f"inversion needs t_(0,0) = +-1, got {format_element(head)}")
     G = from_coeffs(QY, T.row_polynomials())
     reverted = G.mul_x().revert().div_x()
     return build_from_bgf(reverted, T.n_rows)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import known_values as kv
 from riordan.cli import main, render_triangle
-from riordan.exact import QQ
+from riordan.exact import QQ, format_element
 from riordan.families import TRIANGLES
 from riordan.triangles import Triangle
 from riordan.verify import SUITE_NAMES
@@ -225,9 +225,25 @@ class TestSequenceCommand:
         code, out, err = run_cli(capsys, "sequence", "gf:10^4301", "-n", "1")
         assert (code, err) == (0, "")
         assert out == "1" + "0" * 4301 + "\n"
-        code, out, err = run_cli(capsys, "sequence", "gf:" + "7" * 5001 + "*x", "-n", "2")
+        sevens = "7" * 5001
+        code, out, err = run_cli(capsys, "sequence", "gf:" + sevens + "*x", "-n", "2")
         assert (code, err) == (0, "")
-        assert out == "0 " + "7" * 5001 + "\n"
+        assert out == "0 " + sevens + "\n"
+        # rationals read by cf@, --eval-at and dual-cf@
+        code, out, err = run_cli(capsys, "triangle", "cf@" + sevens, "--rows", "3")
+        assert (code, err) == (0, "")
+        twice = "1" + "5" * 5000 + "4"  # 2 * sevens: entry (2, 0) is C_2 b
+        assert out.splitlines() == ["1".rjust(5002), "0".rjust(5002) + " 1", twice + " 0 2"]
+        code, out, err = run_cli(capsys, "triangle", "fib", "--rows", "3", "--eval-at", sevens)
+        assert (code, err) == (0, "")
+        row_2 = format_element(1 + (7 * (10**5001 - 1) // 9) ** 2)  # y^2 + 1 at y = sevens
+        assert out == f"1 {sevens} {row_2}\n"
+        code, out, err = run_cli(capsys, "sequence", "dual-cf@1/" + sevens, "-n", "3")
+        assert (code, err) == (0, "")
+        assert out == "1 -1 -2/" + sevens + "\n"
+        code, out, err = run_cli(capsys, "triangle", f"cf@{sevens}/0", "--rows", "2")
+        assert (code, out) == (1, "")
+        assert err == f"error: bad cf@ value '{sevens}/0': zero denominator\n"
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
 
     def test_unknown_spec(self, capsys):

@@ -20,6 +20,8 @@ from riordan.exact import (
     format_element,
     jacobsthal,
 )
+from riordan.triangles import Triangle, invert_triangle
+from riordan.verify import _compare
 from strategies import dot_rings, nonzero_ints, q_elements, qa_polys, qab_polys, qy_polys, rationals
 from test_canonical import is_canonical_q
 
@@ -194,6 +196,20 @@ class TestFormatting:
         assert format_element(sevens) == "7" * 5001
         assert str(QY.poly([sevens, 1])) == "y+" + "7" * 5001
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
+        # messages that show such a value report it, and the limit stays
+        big = 10**5000
+        with pytest.raises(ArithmeticError, match="not divisible by 10"):
+            exact_div(big + 1, 10)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        with pytest.raises(ValueError, match="is negative"):
+            exact_sqrt(-big)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        with pytest.raises(ValueError, match=r"t_\(0,0\) = \+-1, got 10{5000}$"):
+            invert_triangle(Triangle(QQ, [[big]]))
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        check = _compare("x", "", [big], [1])
+        assert not check.ok and check.detail == f"first mismatch at index 0: 1{'0' * 5000} != 1"
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 # ---------------------------------------------------------------------------
