@@ -2,17 +2,16 @@
 
 Output is deterministic byte-for-byte for fixed inputs.  Exact values render
 as decimal integers or "p/q"; polynomial entries use the same compact form as
-the library.  Exit status is 0 only when every requested computation or
-check succeeds.  Each command imports only the layers it runs: every
-riordan module, and ``json``, loads inside the branch that uses it, so
-``import riordan.cli`` and ``--help`` load none, a ``gf:`` sequence loads
-the parser and the series and ring layers under it, and only named
+the library.  Exit status is 0 only when every requested computation or check
+succeeds.  Nothing loads an argument-parsing module (``_parse_args`` reads
+``_COMMANDS``); every riordan module, and ``json``, loads in the branch that
+uses it: ``import riordan.cli`` and ``--help`` load none, a ``gf:`` sequence
+loads the parser and the series and ring layers under it, and only named
 triangles, ``cf@``, ``dual-cf@`` and ``rowsums:`` load ``families``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -138,55 +137,87 @@ def render_reports(reports) -> tuple[str, bool]:
     return "\n".join(lines), failures == 0
 
 
-def _suite_name(text: str) -> str:
-    """The ``verify`` argument: a suite name or ``all``.  argparse calls this
-    only for the ``verify`` command, so no other command imports ``verify``."""
-    from . import verify
-
-    names = verify.SUITE_NAMES + ("all",)
-    if text not in names:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})"
-        )
-    return text
+def _suites() -> tuple:  # only the verify command loads verify
+    from .verify import SUITE_NAMES
+    return SUITE_NAMES + ("all",)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="riordan",
-        description="Exact triangles, dual polynomial sequences, and identity checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_OUT = {"format": ("--format {" + ",".join(FORMATS) + "}", FORMATS, "table", ""),
+        "offset": ("--offset OFFSET", int, 0, "b-file start index (default 0)")}
+_HELP = {"help": ("-h/--help", None, None, "print this text and exit, wherever it appears")}
 
-    p_tri = sub.add_parser("triangle", help="print a coefficient triangle")
-    p_tri.add_argument(
-        "name", nargs="?", help="a named triangle (an unknown name lists them), or cf@<rational>"
-    )
-    p_tri.add_argument(
-        "--gf",
-        help="bivariate generating function in x and y: row n is [x^n] as a polynomial "
-        "in y, over Q; with a and b instead of y, b is the row variable, the entries "
-        "are polynomials in a, and --invert is refused",
-    )
-    p_tri.add_argument("--rows", type=int, default=8, help="number of rows (default 8)")
-    p_tri.add_argument("--invert", action="store_true", help="apply the inversion operator first")
-    p_tri.add_argument("--eval-at", metavar="Y0", help="evaluate row polynomials at a rational y")
-    p_tri.add_argument("--format", choices=FORMATS, default="table")
-    p_tri.add_argument("--offset", type=int, default=0, help="b-file start index (default 0)")
+# Per command: its help and its arguments by destination, as (spelling, conversion, default,
+# help), the positional first, "[name]" if optional; bool marks a flag, a tuple the choices.
+_COMMANDS = {
+    "triangle": ("print a coefficient triangle", {
+        "name": ("[name]", str, None,
+                 "a named triangle (an unknown name lists them), or cf@<rational>"),
+        "gf": ("--gf GF", str, None, "bivariate generating function in x and y: row n is [x^n] "
+               "as a polynomial in y, over Q; with a and b instead of y, b is the row variable, "
+               "the entries are polynomials in a, and --invert is refused"),
+        "rows": ("--rows ROWS", int, 8, "number of rows (default 8)"),
+        "eval_at": ("--eval-at Y0", str, None, "evaluate row polynomials at a rational y"),
+        "invert": ("--invert", bool, False, "apply the inversion operator first"), **_OUT}),
+    "sequence": ("print an exact sequence", {
+        "spec": ("spec", str, None,
+                 "dual-cf@<rational> | rowsums:<triangle> | hankel:<sequence> | gf:<expression>"),
+        "terms": ("-n/--terms TERMS", int, 10, "number of terms (default 10)"), **_OUT}),
+    "verify": ("run identity-verification suites", {
+        "suite": ("suite", _suites, None, "a suite name, or all; an unknown name lists them")}),
+}
+_USAGE = "usage: riordan {" + ",".join(_COMMANDS) + "} ..."
 
-    p_seq = sub.add_parser("sequence", help="print an exact sequence")
-    p_seq.add_argument(
-        "spec", help="dual-cf@<rational> | rowsums:<triangle> | hankel:<sequence> | gf:<expression>"
-    )
-    p_seq.add_argument("-n", "--terms", type=int, default=10, help="number of terms (default 10)")
-    p_seq.add_argument("--format", choices=FORMATS, default="table")
-    p_seq.add_argument("--offset", type=int, default=0, help="b-file start index (default 0)")
 
-    p_ver = sub.add_parser("verify", help="run identity-verification suites")
-    p_ver.add_argument(
-        "suite", type=_suite_name, help="a suite name, or all; an unknown name lists them"
-    )
-    return parser
+def _fail(command, message: str):
+    print(f"{_USAGE}\nriordan{f' {command}' * bool(command)}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_args(argv) -> dict:
+    """``argv`` by destination; an option's value is the next argument, whatever it is."""
+    command, values, extras, tokens = None, {}, [], iter(argv)
+    rows, positional = {**_HELP, "command": ("command", tuple(_COMMANDS), None, "")}, "command"
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            dest, value, positional = positional, token, None
+        else:
+            name, eq, value = token.partition("=") if token[1] == "-" else (
+                token[:2], token[2:], token[2:].removeprefix("="))  # -n5 or -n=5
+            value = value if eq else None
+            found = [dest for dest, row in rows.items()
+                     if any(flag.startswith(name) for flag in row[0].split()[0].split("/"))]
+            if len(found) > 1:
+                _fail(command, f"ambiguous option: {token} could match {', '.join(found)}")
+            dest = found[0] if found else None
+        if dest is None:  # reported only once every argument is read
+            extras.append(token)
+            continue
+        conversion, what = rows[dest][1], "argument " + rows[dest][0].split()[0].strip("[]")
+        if conversion in (None, bool) and value is not None:
+            _fail(command, f"{what}: ignored explicit argument {value!r}")
+        if conversion is None:
+            return {"command": "help"}
+        if conversion is not bool and value is None and (value := next(tokens, None)) is None:
+            _fail(command, f"{what}: expected one argument")
+        if conversion is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(command, f"{what}: invalid int value: {value!r}")
+        elif conversion not in (str, bool) and value not in (
+                choices := conversion if isinstance(conversion, tuple) else conversion()):
+            _fail(command, f"{what}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, choices))})")
+        if command is None:  # from here on the command's own arguments apply
+            command, arguments = value, _COMMANDS[value][1]
+            positional, rows = next(iter(arguments)), {**_HELP, **arguments}
+            values = {key: row[2] for key, row in arguments.items()}
+        values[dest] = True if conversion is bool else value
+    if positional is not None and not rows[positional][0].startswith("["):
+        _fail(command, f"the following arguments are required: {positional}")
+    if extras:
+        _fail(command, f"unrecognized arguments: {' '.join(extras)}")
+    return values
 
 
 def _silence_stdout() -> None:
@@ -199,27 +230,33 @@ def _silence_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     ok = True
     try:
-        if args.command == "triangle":
+        if args["command"] == "triangle":
             from .triangles import eval_rows, invert_triangle
 
-            T = resolve_triangle(args.name, args.gf, args.rows)
-            if args.invert:
+            T = resolve_triangle(args["name"], args["gf"], args["rows"])
+            if args["invert"]:
                 T = invert_triangle(T)
-            if args.eval_at is not None:
-                values = eval_rows(T, _parse_rational(args.eval_at, "--eval-at value"))
-                text = render_sequence(values, args.format, args.offset)
+            if args["eval_at"] is not None:
+                values = eval_rows(T, _parse_rational(args["eval_at"], "--eval-at value"))
+                text = render_sequence(values, args["format"], args["offset"])
             else:
-                text = render_triangle(T, args.format)
-        elif args.command == "sequence":
-            values = resolve_sequence(args.spec, args.terms)
-            text = render_sequence(values, args.format, args.offset)
+                text = render_triangle(T, args["format"])
+        elif args["command"] == "sequence":
+            values = resolve_sequence(args["spec"], args["terms"])
+            text = render_sequence(values, args["format"], args["offset"])
+        elif args["command"] == "help":
+            text = f"{_USAGE}\n\nExact triangles, dual polynomial sequences, and identity checks."
+            for command, (about, arguments) in _COMMANDS.items():
+                text += f"\n\nriordan {command}: {about}" + "".join(
+                    f"\n  {spelling:<18} {note}".rstrip()
+                    for spelling, _, _, note in (*arguments.values(), *_HELP.values()))
         else:
             from . import verify
 
-            text, ok = render_reports(verify.run(args.suite))
+            text, ok = render_reports(verify.run(args["suite"]))
     except (CliError, ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

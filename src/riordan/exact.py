@@ -494,7 +494,10 @@ def _format_coefficient(c) -> tuple[str, bool]:
 
 def read_rational(text: str) -> ExactRational:
     """The canonical element of Q that ``text`` writes in the grammar of
-    ``Fraction(text)``, of any number of digits; else ``Fraction``'s error."""
+    ``Fraction(text)`` without exponents (a few characters could ask for any
+    power of ten), of any number of digits; else ``Fraction``'s error."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted in {text!r}")
     return QQ.coerce(without_digit_limit(Fraction, text))
 
 

@@ -1,5 +1,6 @@
 """Command-line contract: specs, formats, exit codes, determinism."""
 
+import argparse
 import ast
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import known_values as kv
-from riordan.cli import main, render_triangle
+from riordan.cli import FORMATS, _parse_args, main, render_triangle
 from riordan.exact import QQ, format_element
 from riordan.families import TRIANGLES
 from riordan.triangles import Triangle
@@ -113,11 +114,26 @@ class TestTriangleCommand:
         (("triangle", "cf@1/0"), "cf@ value"),
         (("sequence", "dual-cf@1/0"), "dual-cf@ value"),
         (("triangle", "fib", "--eval-at", "1/0"), "--eval-at value"),
+        # exponent notation: a few characters could ask for a power of ten of any size
+        (("triangle", "--rows", "1", "cf@1e10000000"), "cf@ value"),
+        (("sequence", "dual-cf@1E5"), "dual-cf@ value"),
+        (("triangle", "fib", "--eval-at", "1e3"), "--eval-at value"),
     ])
-    def test_zero_denominator_is_named(self, capsys, argv, what):
+    def test_bad_rational_is_named(self, capsys, argv, what):
+        text = argv[-1].split("@")[-1]
+        reason = ("zero denominator" if text.endswith("/0")
+                  else f"exponent notation is not accepted in {text!r}")
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == f"error: bad {what} '1/0': zero denominator\n"
+        assert err == f"error: bad {what} {text!r}: {reason}\n"
+
+    @pytest.mark.parametrize("argv, option, value, want", [
+        (("triangle", "fib", "--rows", "3"), "--eval-at", "-1/2", "1 -1/2 5/4\n"),
+        (("triangle", "--rows", "2"), "--gf", "-y*x+1", "1\n0 -1\n"),
+    ], ids=["eval-at", "gf"])
+    def test_value_may_begin_with_a_dash(self, capsys, argv, option, value, want):
+        assert run_cli(capsys, *argv, option, value) == (0, want, "")
+        assert run_cli(capsys, *argv, f"{option}={value}") == (0, want, "")
 
     def test_inversion_precondition_failure(self, capsys):
         code, _, err = run_cli(
@@ -434,18 +450,20 @@ class TestImports:
 
     HEAVY = {"riordan.gfparse", "riordan.hankel", "riordan.paths", "riordan.verify",
              "dataclasses"}
+    # the argument parsers of the standard library, and what they load
+    ARGUMENT_PARSING = {"argparse", "getopt", "optparse", "gettext", "locale"}
 
-    @staticmethod
-    def loaded_after(statement):
+    @classmethod
+    def loaded_after(cls, statement):
         # repr, not json: the probe must not load a module it reports on
         script = (
             "import sys\n"
             "try:\n"
             f"    {statement}\n"
-            "except SystemExit:\n"  # --help
+            "except SystemExit:\n"  # --help, or a usage error
             "    pass\n"
-            "print(repr([m for m in sys.modules"
-            " if m.startswith('riordan') or m in ('dataclasses', 'json')]))\n"
+            "print(repr([m for m in sys.modules if m.startswith('riordan')"
+            f" or m in {sorted(cls.ARGUMENT_PARSING | {'dataclasses', 'json'})!r}]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                               text=True, check=True)
@@ -465,12 +483,18 @@ class TestImports:
     def test_help_loads_no_layer(self, argv):
         assert self.cli_loads(*argv) == {"riordan", "riordan.cli"}
 
+    def test_usage_error_loads_no_layer(self):
+        # the message goes to stdout, where the probe reads only its own last line
+        assert self.loaded_after("sys.stderr = sys.stdout; import riordan.cli; "
+                                 "riordan.cli.main(['triangle', '--rows', 'x'])") == {
+            "riordan", "riordan.cli"}
+
     @pytest.mark.parametrize("argv", [
         ("triangle", "fib", "--rows", "3"),
         ("sequence", "dual-cf@1", "-n", "3"),
     ])
     def test_named_objects_skip_parser_hankel_paths_verify(self, argv):
-        assert not self.cli_loads(*argv) & self.HEAVY
+        assert not self.cli_loads(*argv) & (self.HEAVY | self.ARGUMENT_PARSING)
 
     @pytest.mark.parametrize("argv", [
         ("triangle", "fib", "--rows", "3"),
@@ -480,7 +504,7 @@ class TestImports:
         assert "json" not in self.cli_loads(*argv)
         assert "json" in self.cli_loads(*argv, "--format", "json")
 
-    # no json and no dataclasses either: the probe reports those too
+    # no json, dataclasses or argument parser either: the probe reports those too
     GF_LAYERS = {"riordan", "riordan.cli", "riordan._value", "riordan.exact", "riordan.series",
                  "riordan.gfparse"}
 
@@ -494,6 +518,7 @@ class TestImports:
     def test_gf_triangle_skips_families(self):
         loaded = self.cli_loads("triangle", "--gf", "1/(1-y*x-x^2)", "--rows", "3")
         assert "riordan.triangles" in loaded and "riordan.families" not in loaded
+        assert not loaded & self.ARGUMENT_PARSING
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +584,173 @@ def test_fuzzed_commands_exit_cleanly(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
+        except SystemExit as exc:  # usage errors
             code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+# ---------------------------------------------------------------------------
+# The argument parser against argparse.  ``build_parser`` is the grammar as
+# argparse read it before ``_parse_args`` replaced it, kept as the reference.
+
+
+def _suite_name(text: str) -> str:
+    """The ``verify`` argument: a suite name or ``all``.  argparse calls this
+    only for the ``verify`` command, so no other command imports ``verify``."""
+    from riordan import verify
+
+    names = verify.SUITE_NAMES + ("all",)
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})"
+        )
+    return text
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="riordan",
+        description="Exact triangles, dual polynomial sequences, and identity checks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_tri = sub.add_parser("triangle", help="print a coefficient triangle")
+    p_tri.add_argument(
+        "name", nargs="?", help="a named triangle (an unknown name lists them), or cf@<rational>"
+    )
+    p_tri.add_argument(
+        "--gf",
+        help="bivariate generating function in x and y: row n is [x^n] as a polynomial "
+        "in y, over Q; with a and b instead of y, b is the row variable, the entries "
+        "are polynomials in a, and --invert is refused",
+    )
+    p_tri.add_argument("--rows", type=int, default=8, help="number of rows (default 8)")
+    p_tri.add_argument("--invert", action="store_true", help="apply the inversion operator first")
+    p_tri.add_argument("--eval-at", metavar="Y0", help="evaluate row polynomials at a rational y")
+    p_tri.add_argument("--format", choices=FORMATS, default="table")
+    p_tri.add_argument("--offset", type=int, default=0, help="b-file start index (default 0)")
+
+    p_seq = sub.add_parser("sequence", help="print an exact sequence")
+    p_seq.add_argument(
+        "spec", help="dual-cf@<rational> | rowsums:<triangle> | hankel:<sequence> | gf:<expression>"
+    )
+    p_seq.add_argument("-n", "--terms", type=int, default=10, help="number of terms (default 10)")
+    p_seq.add_argument("--format", choices=FORMATS, default="table")
+    p_seq.add_argument("--offset", type=int, default=0, help="b-file start index (default 0)")
+
+    p_ver = sub.add_parser("verify", help="run identity-verification suites")
+    p_ver.add_argument(
+        "suite", type=_suite_name, help="a suite name, or all; an unknown name lists them"
+    )
+    return parser
+
+
+def parsed(parse, argv):
+    """``parse(argv)`` as a dict of destinations, or the status it exits with:
+    argparse exits 0 after printing help, where ``_parse_args`` returns the
+    command "help" for ``main`` to print."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            return exc.code
+    if isinstance(result, argparse.Namespace):
+        return vars(result)
+    return 0 if result == {"command": "help"} else result
+
+
+def argparse_refused_first(argv):
+    """Whether argparse exited 2 where ``_parse_args`` reads on: an option that
+    takes a value is followed by an argument that begins with "-", which
+    argparse refused unless it read as a negative number; or an ambiguous
+    "--=" follows -h, which argparse rejected before acting on anything."""
+    valued = {option for options in OPTIONS.values() for option, value in options.items()
+              if value is not None} | {"--terms"}
+    return any(b.startswith("-") and (a in valued or a[2:] and any(f.startswith(a) for f in valued))
+               for a, b in zip(argv, argv[1:])) or any(
+        a in ("-h", "--help", "--he") and any(b.startswith("--=") for b in argv[i:])
+        for i, a in enumerate(argv))
+
+
+# each command's options, with the strategies of their values (None for a flag)
+OPTIONS = {
+    "triangle": {"--gf": gf_inputs(), "--rows": sizes, "--invert": None, "--eval-at": values,
+                 "--format": formats, "--offset": st.integers(-3, 8).map(str)},
+    "sequence": {"-n": sizes, "--format": formats, "--offset": st.integers(-3, 8).map(str)},
+    "verify": {},
+}
+
+
+@st.composite
+def spelled(draw, option, value):
+    """``option`` and its value, if any, spelled in a way argparse took: a
+    long option as a unique prefix, the value as the next argument or after
+    "=", and "-n" also as -n5 or -n=5."""
+    if option == "-n" and draw(st.booleans()):
+        return draw(st.sampled_from([["-n", value], [f"-n{value}"], [f"-n={value}"]]
+                                    if value is not None else [["-n"]]))
+    flag = "--terms" if option == "-n" else option
+    prefix = flag[:draw(st.integers(3, len(flag)))]
+    if value is None:
+        return [prefix]
+    return draw(st.sampled_from([[prefix, value], [f"{prefix}={value}"]]))
+
+
+@st.composite
+def parser_argvs(draw):
+    """A command of ``argvs()``, or a ``verify`` command, re-spelled: each
+    option as ``spelled`` draws it and the options and positional argument
+    in any order, a repeated option now and then; and at times an unknown
+    option, an ambiguous prefix, an extra positional argument, -h anywhere,
+    or an option missing its value at the end."""
+    if draw(st.integers(0, 4)) == 0:
+        command, *rest = ["verify", draw(st.sampled_from([*SUITE_NAMES, "all", "nope"]))]
+    else:
+        command, *rest = draw(argvs())
+    options, units = OPTIONS[command], []
+    while rest:
+        token = rest.pop(0)
+        if token not in options:  # the positional argument
+            units.append([token])
+        else:
+            units.append(draw(spelled(token, None if options[token] is None else rest.pop(0))))
+    if options and draw(st.booleans()):
+        option = draw(st.sampled_from(sorted(options)))
+        value = None if options[option] is None else draw(options[option])
+        units.append(draw(spelled(option, value)))
+    for extra in (["--order", "8"], ["-x"], ["--bogus=1"], ["--=1"], ["extra"]):
+        if draw(st.integers(0, 9)) == 0:
+            units.append(extra)
+    argv = [command, *[token for unit in draw(st.permutations(units)) for token in unit]]
+    if draw(st.integers(0, 7)) == 0:
+        help_flag = draw(st.sampled_from(["-h", "--help", "--he"]))
+        argv.insert(draw(st.integers(0, len(argv))), help_flag)
+    if options and draw(st.integers(0, 7)) == 0:
+        option = draw(st.sampled_from(sorted(o for o in options if options[o] is not None)))
+        argv += draw(spelled(option, None))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(parser_argvs())
+def test_parser_matches_argparse(argv):
+    """Where argparse accepted an argument list, ``_parse_args`` returns the
+    same value for every destination; where argparse printed help (exit 0)
+    or a usage error (exit 2), so does ``_parse_args``, except in the cases
+    ``argparse_refused_first`` names."""
+    want, got = parsed(build_parser().parse_args, argv), parsed(_parse_args, argv)
+    if not (want == 2 and argparse_refused_first(argv)):
+        assert got == want, argv
+
+
+def test_help_lists_every_command_and_argument(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: riordan ")
+    commands = build_parser()._subparsers._group_actions[0]
+    for command in commands._choices_actions:
+        assert f"riordan {command.dest}: {command.help}\n" in out
+    for parser in commands.choices.values():
+        for action in parser._actions[1:]:  # after argparse's own -h
+            assert (action.option_strings or [action.dest])[-1] in out
+            assert (action.help or "") in out
