@@ -1,8 +1,8 @@
 """The package's one immutable-value base.
 
 Every value type derives from ``Value``: the ring descriptors, polynomials,
-series, triangles, Riordan pairs, the ``gfparse`` tokens, path classes and
-``verify`` records.
+series, triangles, Riordan pairs, the ``gfparse`` tokens and the ``verify``
+records.
 """
 
 from __future__ import annotations

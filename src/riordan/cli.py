@@ -18,26 +18,22 @@ import sys
 FORMATS = ("table", "csv", "json", "bfile")
 
 
-class CliError(Exception):
-    pass
-
-
 def _parse_rational(text: str, what: str):
     from .exact import read_rational
 
     try:
         return read_rational(text)
     except ValueError as exc:
-        raise CliError(f"bad {what} {text!r}: {exc}") from exc
+        raise ValueError(f"bad {what} {text!r}: {exc}") from exc
     except ZeroDivisionError as exc:
-        raise CliError(f"bad {what} {text!r}: zero denominator") from exc
+        raise ValueError(f"bad {what} {text!r}: zero denominator") from exc
 
 
 def resolve_triangle(spec: str | None, gf: str | None, rows: int) -> Triangle:
     if (spec is None) == (gf is None):
-        raise CliError("give exactly one of a triangle name or --gf")
+        raise ValueError("give exactly one of a triangle name or --gf")
     if rows < 1:
-        raise CliError("--rows must be >= 1")
+        raise ValueError("--rows must be >= 1")
     if gf is not None:
         from .gfparse import eval_gf
         from .triangles import build_from_bgf
@@ -48,7 +44,7 @@ def resolve_triangle(spec: str | None, gf: str | None, rows: int) -> Triangle:
     if spec.startswith("cf@"):
         return families.cf_matrix(_parse_rational(spec[3:], "cf@ value"), rows)
     if spec not in families.TRIANGLES:
-        raise CliError(
+        raise ValueError(
             f"unknown triangle {spec!r}; names: {', '.join(families.TRIANGLES)}, cf@<rational>"
         )
     return families.TRIANGLES[spec](rows)
@@ -56,7 +52,7 @@ def resolve_triangle(spec: str | None, gf: str | None, rows: int) -> Triangle:
 
 def resolve_sequence(spec: str, n_terms: int) -> list:
     if n_terms < 1:
-        raise CliError("-n must be >= 1")
+        raise ValueError("-n must be >= 1")
     if spec.startswith("dual-cf@"):
         from . import families
 
@@ -77,7 +73,7 @@ def resolve_sequence(spec: str, n_terms: int) -> list:
         from .gfparse import eval_gf
 
         return list(eval_gf(spec[len("gf:"):], n_terms).coeffs)
-    raise CliError(
+    raise ValueError(
         f"unknown sequence {spec!r}; forms: dual-cf@<rational>, rowsums:<triangle>, "
         "hankel:<sequence>, gf:<expression>"
     )
@@ -87,7 +83,7 @@ def render_triangle(T: Triangle, fmt: str) -> str:
     from .exact import format_element
 
     if fmt == "bfile":
-        raise CliError("bfile applies only to single sequences")
+        raise ValueError("bfile applies only to single sequences")
     cells = [[format_element(e) for e in row] for row in T.rows]
     if fmt == "csv":
         return "\n".join(",".join(row) for row in cells)
@@ -257,7 +253,7 @@ def main(argv=None) -> int:
             from . import verify
 
             text, ok = render_reports(verify.run(args["suite"]))
-    except (CliError, ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if sys.stdout is None:

@@ -130,17 +130,6 @@ def rational(num: int, den: int) -> ExactRational:
     return Fraction(num, den) if r else q
 
 
-def exact_sqrt(q: ExactRational) -> ExactRational:
-    """Nonnegative square root of a rational, or ValueError if not exact."""
-    if q < 0:
-        raise ValueError(f"exact_sqrt: {format_element(q)} is negative")
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise ValueError(f"exact_sqrt: {format_element(q)} is not a perfect square")
-    return rational(rn, rd)
-
-
 class RationalField(Value):
     """Descriptor for Q, the base coefficient field.  ``RationalField()`` is
     ``QQ``, its one instance, which copies and unpickles as itself."""
@@ -177,7 +166,15 @@ class RationalField(Value):
         return rational(x.denominator, x.numerator)
 
     def sqrt(self, x) -> ExactRational:
-        return exact_sqrt(self.coerce(x))
+        """Nonnegative square root, or ValueError if it is not rational."""
+        q = self.coerce(x)
+        if q < 0:
+            raise ValueError(f"{format_element(q)} is negative")
+        num, den = q.numerator, q.denominator
+        rn, rd = math.isqrt(num), math.isqrt(den)
+        if rn * rn != num or rd * rd != den:
+            raise ValueError(f"{format_element(q)} is not a perfect square")
+        return rational(rn, rd)
 
     def dot(self, terms, den: int = 1) -> ExactRational:
         """The canonical (sum of w * x * y over the triples (w, x, y)) / den."""
@@ -222,25 +219,31 @@ class PolynomialRing(Value):
         return PolynomialRing, (self.base, self.var)
 
     def poly(self, coeffs) -> "Polynomial":
-        """Polynomial from an ascending coefficient list (index = degree)."""
-        return Polynomial(self, [self.base.coerce(c) for c in coeffs])
+        """Polynomial from an ascending coefficient list (index = degree): the
+        one constructor that brings coefficients to the stored form."""
+        coeffs = [self.base.coerce(c) for c in coeffs]
+        if not self.over_q:
+            return Polynomial(self, *_reduced(coeffs, 1))
+        den = math.lcm(*[c.denominator for c in coeffs])
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        return Polynomial(self, *_reduced(nums, den))
 
     def generator(self) -> "Polynomial":
-        return Polynomial(self, [self.base.zero(), self.base.one()])
+        return Polynomial(self, (self.base.zero(), self.base.one()), 1)
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, [])
+        return Polynomial(self, (), 1)
 
     def one(self) -> "Polynomial":
-        return _make(self, (self.base.one(),), 1)
+        return Polynomial(self, (self.base.one(),), 1)
 
     def coerce(self, x) -> "Polynomial":
         if isinstance(x, Polynomial):
             if x.ring is self:
                 return x
         elif self.over_q and isinstance(x, (int, Fraction)):
-            return _make(self, (x.numerator,) if x else (), x.denominator)
-        return Polynomial(self, [self.base.coerce(x)])  # an element of the base chain
+            return Polynomial(self, (x.numerator,) if x else (), x.denominator)
+        return self.poly([x])  # an element of the base chain
 
     def invert(self, x) -> "Polynomial":
         """Inverse of a unit: only degree-0 polynomials with invertible constant."""
@@ -280,7 +283,7 @@ class PolynomialRing(Value):
                 for i, c in enumerate(a):
                     for j, e in enumerate(b, i):
                         sums[j].append((w, c, e))
-            return _make(self, *_reduced([self.base.dot(t, den) for t in sums], 1))
+            return Polynomial(self, *_reduced([self.base.dot(t, den) for t in sums], 1))
         out, lcd = [], 1
         for w, x, y in terms:
             a, b = x._c, y._c
@@ -301,7 +304,7 @@ class PolynomialRing(Value):
                     c *= w
                     for i, e in enumerate(a, j):
                         out[i] += e * c
-        return _make(self, *_reduced(out, lcd * den))
+        return Polynomial(self, *_reduced(out, lcd * den))
 
     def __repr__(self):
         return f"{self.base!r}[{self.var}]"
@@ -323,20 +326,13 @@ class Polynomial(Value):
     rationals over Q (an ``int`` when integral, else a ``Fraction``), which
     is ``_c`` itself when ``_den`` is 1 and is built on each access
     otherwise; every reader outside the arithmetic reads through it.
+
+    ``Polynomial(ring, c, den)`` takes ``c`` and ``den`` already in this
+    stored form; ``ring.poly(coeffs)`` is the constructor that brings any
+    coefficients to it.
     """
 
     __slots__ = ("ring", "_c", "_den")
-
-    def __init__(self, ring: PolynomialRing, coeffs):
-        coeffs = list(coeffs)
-        if ring.over_q:
-            den = math.lcm(*[c.denominator for c in coeffs])
-            stored, den = _reduced([c.numerator * (den // c.denominator) for c in coeffs], den)
-        else:
-            stored, den = _reduced(coeffs, 1)
-        _set(self, "ring", ring)
-        _set(self, "_c", stored)
-        _set(self, "_den", den)
 
     @property
     def coeffs(self) -> tuple:
@@ -370,7 +366,7 @@ class Polynomial(Value):
         return hash((self.ring.var, self._c, self._den))
 
     def __neg__(self):
-        return _make(self.ring, tuple([-c for c in self._c]), self._den)
+        return Polynomial(self.ring, tuple([-c for c in self._c]), self._den)
 
     def _sum(self, other, w: int, v: int):
         """w * self + v * other through the ring's ``dot``."""
@@ -436,18 +432,6 @@ class Polynomial(Value):
         return f"<{self.ring!r}: {self}>"
 
 
-_set = object.__setattr__
-
-
-def _make(ring: PolynomialRing, c: tuple, den: int) -> Polynomial:
-    """Trusted constructor: ``c`` and ``den`` are already in stored form."""
-    p = object.__new__(Polynomial)
-    _set(p, "ring", ring)
-    _set(p, "_c", c)
-    _set(p, "_den", den)
-    return p
-
-
 def power_by_squaring(x, n: int, one, what: str):
     """x^n by repeated squaring, for an int n >= 0; ``one`` is x^0 and
     ``what`` names the kind of x in the error for any other n."""
@@ -493,9 +477,14 @@ def _format_coefficient(c) -> tuple[str, bool]:
 
 
 def read_rational(text: str) -> ExactRational:
-    """The canonical element of Q that ``text`` writes in the grammar of
-    ``Fraction(text)`` without exponents (a few characters could ask for any
-    power of ten), of any number of digits; else ``Fraction``'s error."""
+    """The canonical element of Q that ``text`` writes in ASCII digits, of
+    any number of them, in the grammar of ``Fraction(text)``: an integer, a
+    decimal or p/q.  Exponent notation (a few characters could ask for any
+    power of ten), ``_`` and other digits are refused with a ValueError that
+    names the text, so the grammar is the same on every Python version;
+    other malformed text gets ``Fraction``'s error."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"'_' and non-ASCII characters are not accepted in {text!r}")
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation is not accepted in {text!r}")
     return QQ.coerce(without_digit_limit(Fraction, text))

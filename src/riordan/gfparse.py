@@ -72,9 +72,6 @@ class GfEvalError(ValueError):
 class _Token(Value):
     __slots__ = ("kind", "text", "pos")  # kind: int, name, op, end
 
-    def __init__(self, kind: str, text: str, pos: int):
-        super().__init__(kind, text, pos)
-
     def shown(self) -> str:
         return self.text if self.kind != "end" else "end of input"
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from functools import cache
 
-from ._value import Value
-
 VARIANTS = ("motzkin", "grand_motzkin")
 STATISTICS = {  # statistic -> (U, D, H) step weights
     "level_steps": (0, 0, 1),
@@ -34,17 +32,6 @@ STATISTICS = {  # statistic -> (U, D, H) step weights
 
 MAX_PATH_LENGTH = 16
 MAX_BOARD_LENGTH = 20
-
-
-class PathClass(Value):
-    __slots__ = ("variant", "statistic")
-
-    def __init__(self, variant: str, statistic: str):
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if statistic not in STATISTICS:
-            raise ValueError(f"statistic must be one of {tuple(STATISTICS)}")
-        super().__init__(variant, statistic)
 
 
 @cache
@@ -72,14 +59,19 @@ def _path_counts(grand: bool, weights: tuple[int, int, int], rem: int, h: int) -
     return tuple(out)
 
 
-def count_paths(cls: PathClass, n: int, k: int) -> int:
-    """Paths of length n whose statistic equals k: entry k of the cached
-    counts of every statistic value (see ``_path_counts``)."""
+def count_paths(variant: str, statistic: str, n: int, k: int) -> int:
+    """Paths of the ``variant`` of length n whose ``statistic`` equals k:
+    entry k of the cached counts of every statistic value (see
+    ``_path_counts``)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    if statistic not in STATISTICS:
+        raise ValueError(f"statistic must be one of {tuple(STATISTICS)}")
     if n < 0 or n > MAX_PATH_LENGTH:
         raise ValueError(f"path length must be in 0..{MAX_PATH_LENGTH}, got {n}")
     if k < 0:
         raise ValueError(f"statistic value must be >= 0, got {k}")
-    counts = _path_counts(cls.variant == "grand_motzkin", STATISTICS[cls.statistic], n, 0)
+    counts = _path_counts(variant == "grand_motzkin", STATISTICS[statistic], n, 0)
     return counts[k] if k < len(counts) else 0
 
 

@@ -37,12 +37,6 @@ class PowerSeries(Value):
         """Number of retained coefficients."""
         return len(self.coeffs)
 
-    def __getitem__(self, n: int):
-        """Coefficient of x^n; indexing past the truncation order is an error."""
-        if not 0 <= n < len(self.coeffs):
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
-
     def truncate(self, order: int) -> "PowerSeries":
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")

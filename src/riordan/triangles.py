@@ -36,7 +36,7 @@ class Triangle(Value):
     def row_polynomials(self) -> list[Polynomial]:
         """Row n as the polynomial sum_k t_{n,k} y^k."""
         ring = PolynomialRing(self.ring, "y")
-        return [Polynomial(ring, row) for row in self.rows]
+        return [ring.poly(row) for row in self.rows]
 
     def __repr__(self):
         return f"<Triangle over {self.ring!r}, {self.n_rows} rows>"
@@ -83,7 +83,7 @@ def _column_series(pair: RiordanPair, n_rows: int):
 def build_ordinary(pair: RiordanPair, n_rows: int) -> Triangle:
     """Triangle with t_{n,k} = [x^n] d(x) h(x)^k."""
     cols = list(_column_series(pair, n_rows))
-    rows = [[cols[k][n] for k in range(n + 1)] for n in range(n_rows)]
+    rows = [[cols[k].coeffs[n] for k in range(n + 1)] for n in range(n_rows)]
     return Triangle(pair.ring, rows)
 
 
@@ -93,7 +93,7 @@ def build_exponential(pair: RiordanPair, n_rows: int) -> Triangle:
     rows = []
     for n in range(n_rows):
         fn = math.factorial(n)
-        rows.append([cols[k][n] * (fn // math.factorial(k)) for k in range(n + 1)])
+        rows.append([cols[k].coeffs[n] * (fn // math.factorial(k)) for k in range(n + 1)])
     return Triangle(pair.ring, rows)
 
 

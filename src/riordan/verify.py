@@ -28,16 +28,9 @@ from .triangles import build_exponential, build_ordinary, invert_triangle, row_s
 class Check(Value):
     __slots__ = ("name", "ok", "detail")
 
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        super().__init__(name, ok, detail)
-
 
 class SuiteReport(Value):
-    __slots__ = ("suite", "checks", "notes")
-
-    def __init__(self, suite: str, checks: list[Check] | None = None,
-                 notes: list[str] | None = None):
-        super().__init__(suite, [] if checks is None else checks, [] if notes is None else notes)
+    __slots__ = ("suite", "checks", "notes")  # checks and notes are tuples
 
 
 def _compare(name: str, detail: str, got, want) -> Check:
@@ -108,8 +101,7 @@ def _fib_formula(gate) -> list:
 
 
 def _path_matrix(variant: str, statistic: str, rows: int = 13, cols=lambda n: n + 1) -> list:
-    cls = paths.PathClass(variant, statistic)
-    return _matrix(lambda n, k: paths.count_paths(cls, n, k), rows, cols)
+    return _matrix(partial(paths.count_paths, variant, statistic), rows, cols)
 
 
 def _up_cols(n: int) -> int:
@@ -125,14 +117,14 @@ def _ab_root(order: int):
 def _reverted(f) -> list:
     """[x^(n+1)] Rev(f) for n <= 12."""
     rev = f.revert()
-    return [rev[n + 1] for n in range(13)]
+    return [rev.coeffs[n + 1] for n in range(13)]
 
 
 def _extracted(f) -> list:
     """1/(n+1) [x^n] (x/f)^(n+1) for n <= 12: the coefficients of
     ``_reverted`` by the coefficient-extraction form of Lagrange inversion."""
     x_over_f = 1 / f.div_x()
-    return [(x_over_f ** (n + 1))[n] / Fraction(n + 1) for n in range(13)]
+    return [(x_over_f ** (n + 1)).coeffs[n] / Fraction(n + 1) for n in range(13)]
 
 
 def _central_row_sums(a: int, b: int) -> list:
@@ -259,9 +251,9 @@ _NOTES = {
 
 
 def _report(suite: str) -> SuiteReport:
-    checks = [_compare(name, detail, left(), right())
-              for s, name, detail, left, right in CHECKS if s == suite]
-    return SuiteReport(suite, checks, list(_NOTES.get(suite, ())))
+    checks = tuple(_compare(name, detail, left(), right())
+                   for s, name, detail, left, right in CHECKS if s == suite)
+    return SuiteReport(suite, checks, _NOTES.get(suite, ()))
 
 
 # suite name -> the callable that runs its rows, in table order

@@ -118,11 +118,19 @@ class TestTriangleCommand:
         (("triangle", "--rows", "1", "cf@1e10000000"), "cf@ value"),
         (("sequence", "dual-cf@1E5"), "dual-cf@ value"),
         (("triangle", "fib", "--eval-at", "1e3"), "--eval-at value"),
+        # '_' (Fraction reads it from Python 3.11 on) and digits outside ASCII (read on all)
+        (("triangle", "--rows", "3", "cf@1_000"), "cf@ value"),
+        (("triangle", "fib", "--eval-at", "\u0663"), "--eval-at value"),
+        (("sequence", "dual-cf@\uff11/\uff12"), "dual-cf@ value"),
     ])
     def test_bad_rational_is_named(self, capsys, argv, what):
         text = argv[-1].split("@")[-1]
-        reason = ("zero denominator" if text.endswith("/0")
-                  else f"exponent notation is not accepted in {text!r}")
+        if text.endswith("/0"):
+            reason = "zero denominator"
+        elif text.isascii() and "_" not in text:
+            reason = f"exponent notation is not accepted in {text!r}"
+        else:
+            reason = f"'_' and non-ASCII characters are not accepted in {text!r}"
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == f"error: bad {what} {text!r}: {reason}\n"
@@ -351,7 +359,7 @@ class TestVerifyCommand:
         from riordan import verify
         from riordan.verify import Check, SuiteReport
 
-        broken = SuiteReport("fake", [Check("always wrong", False, "counterexample at n=0")])
+        broken = SuiteReport("fake", (Check("always wrong", False, "counterexample at n=0"),), ())
         monkeypatch.setattr(verify, "run", lambda suite: [broken])
         code, out, _ = run_cli(capsys, "verify", "involution")
         assert code == 1
@@ -364,9 +372,9 @@ class TestVerifyCommand:
 
         count_paths = paths.count_paths
 
-        def off_by_one(cls, n, k):  # one wrong count of the level-step statistic
-            wrong = (cls.statistic, cls.variant, n, k) == ("level_steps", "motzkin", 9, 3)
-            return count_paths(cls, n, k) + wrong
+        def off_by_one(variant, statistic, n, k):  # one wrong count of the level-step statistic
+            wrong = (statistic, variant, n, k) == ("level_steps", "motzkin", 9, 3)
+            return count_paths(variant, statistic, n, k) + wrong
 
         monkeypatch.setattr(paths, "count_paths", off_by_one)
         code, out, _ = run_cli(capsys, "verify", "paths")
@@ -482,6 +490,10 @@ class TestImports:
     @pytest.mark.parametrize("argv", [("--help",), ("triangle", "-h")])
     def test_help_loads_no_layer(self, argv):
         assert self.cli_loads(*argv) == {"riordan", "riordan.cli"}
+
+    def test_path_oracle_loads_no_other_module(self):
+        # the oracle shares no code with what it checks, not even the value base
+        assert self.loaded_after("import riordan.paths") == {"riordan", "riordan.paths"}
 
     def test_usage_error_loads_no_layer(self):
         # the message goes to stdout, where the probe reads only its own last line

@@ -15,7 +15,6 @@ from riordan.exact import (
     binomial,
     catalan,
     exact_div,
-    exact_sqrt,
     fibonacci,
     format_element,
     jacobsthal,
@@ -80,12 +79,12 @@ class TestNumbers:
         assert [fibonacci(n) for n in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
 
     def test_exact_sqrt(self):
-        assert exact_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-        assert exact_sqrt(Fraction(0)) == 0
+        assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
+        assert QQ.sqrt(Fraction(0)) == 0
         with pytest.raises(ValueError):
-            exact_sqrt(Fraction(2))
+            QQ.sqrt(Fraction(2))
         with pytest.raises(ValueError):
-            exact_sqrt(Fraction(-4))
+            QQ.sqrt(Fraction(-4))
 
 
 class TestRationalInvariants:
@@ -202,7 +201,7 @@ class TestFormatting:
             exact_div(big + 1, 10)
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
         with pytest.raises(ValueError, match="is negative"):
-            exact_sqrt(-big)
+            QQ.sqrt(-big)
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
         with pytest.raises(ValueError, match=r"t_\(0,0\) = \+-1, got 10{5000}$"):
             invert_triangle(Triangle(QQ, [[big]]))

@@ -9,7 +9,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riordan.paths import PathClass, count_paths, count_tilings
+from riordan.paths import count_paths, count_tilings
 
 
 def oracle_enumerate(variant, statistic, n, k):
@@ -39,23 +39,23 @@ class TestAgainstLiteralEnumeration:
         "statistic", ["level_steps", "up_steps", "up_plus_level_steps"]
     )
     def test_memoized_matches_brute_force(self, variant, statistic):
-        cls = PathClass(variant, statistic)
         for n in range(8):
             for k in range(n + 3):  # past n every count is 0
-                assert count_paths(cls, n, k) == oracle_enumerate(variant, statistic, n, k)
+                want = oracle_enumerate(variant, statistic, n, k)
+                assert count_paths(variant, statistic, n, k) == want
 
 
 class TestMotzkinStatistics:
     def test_level_steps_example(self):
-        assert count_paths(PathClass("motzkin", "level_steps"), 4, 2) == 6
+        assert count_paths("motzkin", "level_steps", 4, 2) == 6
 
     def test_up_steps_example(self):
-        assert count_paths(PathClass("motzkin", "up_steps"), 5, 2) == 10
+        assert count_paths("motzkin", "up_steps", 5, 2) == 10
 
 
 class TestGrandMotzkin:
     def test_level_steps_example(self):
-        assert count_paths(PathClass("grand_motzkin", "level_steps"), 4, 2) == 12
+        assert count_paths("grand_motzkin", "level_steps", 4, 2) == 12
 
 
 class TestTilings:
@@ -78,25 +78,18 @@ class TestTilings:
 class TestBounds:
     def test_path_length_bound(self):
         with pytest.raises(ValueError):
-            count_paths(PathClass("motzkin", "level_steps"), 17, 0)
+            count_paths("motzkin", "level_steps", 17, 0)
 
     def test_board_length_bound(self):
         with pytest.raises(ValueError):
             count_tilings(21, 0)
 
     def test_bad_class(self):
-        with pytest.raises(ValueError):
-            PathClass("dyck", "level_steps")
-        with pytest.raises(ValueError):
-            PathClass("motzkin", "down_steps")
-
-    def test_class_is_an_immutable_value(self):
-        cls = PathClass("motzkin", "up_steps")
-        assert cls == PathClass("motzkin", "up_steps") != PathClass("motzkin", "level_steps")
-        assert len({cls, PathClass("motzkin", "up_steps")}) == 1
-        with pytest.raises(AttributeError):
-            cls.variant = "grand_motzkin"
+        with pytest.raises(ValueError, match="variant must be one of"):
+            count_paths("dyck", "level_steps", 4, 2)
+        with pytest.raises(ValueError, match="statistic must be one of"):
+            count_paths("motzkin", "down_steps", 4, 2)
 
     def test_negative_statistic(self):
         with pytest.raises(ValueError):
-            count_paths(PathClass("motzkin", "level_steps"), 4, -1)
+            count_paths("motzkin", "level_steps", 4, -1)

@@ -9,6 +9,7 @@ from riordan.exact import QA, QAB, QQ, QY, PolynomialRing, RationalField
 from riordan.families import pair_fib
 from riordan.series import from_coeffs
 from riordan.triangles import Triangle
+from riordan.verify import Check, run
 
 # (value, an attribute that must refuse deletion, one that must refuse assignment)
 CASES = {
@@ -20,6 +21,8 @@ CASES = {
     "QY": (QY, "base", "var"),
     "QQ": (QQ, "zero", "zero"),
     "Q[a][y]": (PolynomialRing(QA, "y"), "base", "var"),
+    "verify check": (Check("c", True, "d"), "detail", "ok"),
+    "verify report": (run("hankel")[0], "checks", "notes"),
 }
 
 
