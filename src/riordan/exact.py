@@ -15,7 +15,14 @@ integer arrays of the paper run on Python ints, and ``Fraction`` arithmetic
 happens only where a value is not integral.  ``QQ.coerce`` maps any int,
 bool or ``Fraction`` to its canonical form; code that keeps a computed
 rational passes it through ``coerce``.  Between two ints ``/`` is Python's
-true division, a float: use ``Fraction(a, b)`` or ``QQ.invert`` instead.
+true division, a float: use ``rational(a, b)`` or ``QQ.invert`` instead.
+
+The ``fractions`` module (and the ``decimal`` and ``numbers`` it imports)
+loads only when a value is not integral: in ``rational`` on a remainder, in
+``read_rational`` for text that is not an integer, and in the verify-only
+routes of ``families`` and ``verify``.  So a command whose values are all
+integral never loads it.  Until it loads, no ``Fraction`` can exist, so the
+type tests look for the class only where ``sys.modules`` already holds it.
 
 ``ring.dot(terms, den=1)`` is the ring's one fused multiply-accumulate: the
 canonical (sum of w*x*y) / den over triples (w, x, y) of an ``int`` weight
@@ -40,14 +47,14 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from functools import cache
 
 from ._value import Value
 
 # Base scalar type, canonical: an int when integral, else a normalized
-# Fraction with denominator > 1 (see ``rational``).
-ExactRational = int | Fraction
+# Fraction with denominator > 1 (see ``rational``).  A string, so that naming
+# the type does not load ``fractions``.
+ExactRational = "int | Fraction"
 
 # The only polynomial variables that ever occur.
 POLY_VARS = ("y", "a", "b")
@@ -125,9 +132,20 @@ def without_digit_limit(convert, arg):
 
 
 def rational(num: int, den: int) -> ExactRational:
-    """The canonical element num/den of Q, den != 0."""
+    """The canonical element num/den of Q, den != 0; ``fractions`` loads
+    here on the first remainder."""
     q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
+    if not r:
+        return q
+    from fractions import Fraction
+    return Fraction(num, den)
+
+
+def _is_fraction(x) -> bool:
+    """Whether x is a ``Fraction``.  No Fraction exists before ``fractions``
+    is loaded, so until then this is False without loading it."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
 
 
 class RationalField(Value):
@@ -153,7 +171,7 @@ class RationalField(Value):
         """The canonical form of an int, bool or Fraction."""
         if type(x) is int:
             return x
-        if isinstance(x, Fraction):
+        if _is_fraction(x):
             return x.numerator if x.denominator == 1 else x
         if isinstance(x, int):  # a bool or another int subclass
             return int(x)
@@ -197,7 +215,7 @@ class PolynomialRing(Value):
     identity.
     """
 
-    __slots__ = ("base", "var", "over_q")
+    __slots__ = ("base", "var", "over_q", "_one")
     __eq__, __hash__ = object.__eq__, object.__hash__
     _interned: dict = {}
 
@@ -207,8 +225,11 @@ class PolynomialRing(Value):
             if var not in POLY_VARS:
                 raise ValueError(f"polynomial variable must be one of {POLY_VARS}")
             ring = object.__new__(cls)
-            # Over Q, polynomials store integer numerators over one denominator.
-            Value.__init__(ring, base, var, isinstance(base, RationalField))
+            # Over Q, polynomials store integer numerators over one
+            # denominator.  The unit is built once: every sum is a ``dot``
+            # of each operand with it.
+            Value.__init__(ring, base, var, isinstance(base, RationalField),
+                           Polynomial(ring, (base.one(),), 1))
             ring = cls._interned.setdefault((base, var), ring)
         return ring
 
@@ -235,13 +256,13 @@ class PolynomialRing(Value):
         return Polynomial(self, (), 1)
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, (self.base.one(),), 1)
+        return self._one
 
     def coerce(self, x) -> "Polynomial":
         if isinstance(x, Polynomial):
             if x.ring is self:
                 return x
-        elif self.over_q and isinstance(x, (int, Fraction)):
+        elif self.over_q and (isinstance(x, int) or _is_fraction(x)):
             return Polynomial(self, (x.numerator,) if x else (), x.denominator)
         return self.poly([x])  # an element of the base chain
 
@@ -482,11 +503,19 @@ def read_rational(text: str) -> ExactRational:
     decimal or p/q.  Exponent notation (a few characters could ask for any
     power of ten), ``_`` and other digits are refused with a ValueError that
     names the text, so the grammar is the same on every Python version;
-    other malformed text gets ``Fraction``'s error."""
+    other malformed text gets ``Fraction``'s error.  An integer, signed or
+    not, is read by ``int`` without loading ``fractions``."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"'_' and non-ASCII characters are not accepted in {text!r}")
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation is not accepted in {text!r}")
+    # strip() removes what Fraction's pattern takes as whitespace, some of
+    # which (such as "\x1c") int() refuses, so int reads the stripped text
+    stripped = text.strip()
+    digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
+    if digits.isdigit():
+        return without_digit_limit(int, stripped)
+    from fractions import Fraction
     return QQ.coerce(without_digit_limit(Fraction, text))
 
 
@@ -494,7 +523,7 @@ def format_element(x) -> str:
     """Canonical exact rendering: integers bare, rationals p/q, polynomials
     in descending powers with explicit '*', whatever their number of digits
     (see ``without_digit_limit``)."""
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int) or _is_fraction(x):
         return without_digit_limit(str, x)
     if isinstance(x, Polynomial):
         coeffs = x.coeffs

@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from fractions import Fraction
 
-from .exact import QQ, QY, QA, QAB, Polynomial, binomial, catalan, exact_div
+from .exact import (QQ, QY, QA, QAB, ExactRational, Polynomial, binomial, catalan, exact_div,
+                    rational)
 from .series import PowerSeries, from_coeffs, x_series, generator_series
 from .triangles import RiordanPair, Triangle, build_exponential
 
@@ -123,11 +123,9 @@ def _cf_root(order: int) -> PowerSeries:
     return fundamental_root(1, generator_series(QY, "y", n), x_series(QY, n))
 
 
-def _pochhammer(x: Fraction, j: int) -> Fraction:
-    acc = Fraction(1)
-    for i in range(j):
-        acc *= x + i
-    return acc
+def _pochhammer(x: ExactRational, j: int) -> ExactRational:
+    """The rising factorial x (x + 1) ... (x + j - 1)."""
+    return math.prod([x + i for i in range(j)])
 
 
 def tilde_poly_hypergeom(n: int) -> Polynomial:
@@ -137,15 +135,18 @@ def tilde_poly_hypergeom(n: int) -> Polynomial:
     the tilde matrix rows at even n and is (-1)^n times them at odd n; the
     matrix values are authoritative (see verify's discrepancy notes).
     """
+    from fractions import Fraction  # verify-only: no command builds it
+
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for j in range(n // 2 + 1):
+        # a Fraction leads the product, so its "/" is exact; (2)_j = (j + 1)!
         term = (
-            _pochhammer(Fraction(1 - n, 2), j)
+            Fraction(-4) ** j
+            * _pochhammer(Fraction(1 - n, 2), j)
             * _pochhammer(Fraction(-n, 2), j)
-            / (_pochhammer(Fraction(2), j) * math.factorial(j))
-            * Fraction(-4) ** j
+            / (math.factorial(j + 1) * math.factorial(j))
         )
         coeffs[n - j] += term
     return QY.poly(coeffs)
@@ -160,7 +161,7 @@ def cf_coeffs(n: int) -> Polynomial:
     )
 
 
-def cf_matrix(b0: Fraction, n_rows: int) -> Triangle:
+def cf_matrix(b0: ExactRational, n_rows: int) -> Triangle:
     """Catalan-scaled Fibonacci matrix at a fixed b: entry (n,k) is the
     coefficient of a^k in cf_coeffs(n) evaluated at b = b0, which is
     C_n binom(n-i, i) b0^i at k = n - 2i and 0 at k = n - 1, n - 3, ..."""
@@ -198,7 +199,7 @@ def pair_x_plus_x2(order: int) -> RiordanPair:
     x = x_series(QQ, order)
     return RiordanPair(1 + 0 * x, x * (1 + x))
 
-def pair_central(a: Fraction, b: Fraction, order: int) -> RiordanPair:
+def pair_central(a: ExactRational, b: ExactRational, order: int) -> RiordanPair:
     """(1/sqrt(1-4bx^2), a*x/sqrt(1-4bx^2)) at rational a, b."""
     x = x_series(QQ, order)
     d = 1 / (1 - 4 * QQ.coerce(b) * x * x).sqrt()
@@ -215,7 +216,7 @@ def bessel(nu: int, order: int) -> PowerSeries:
         raise ValueError(f"order must be >= 0, got {order}")
     coeffs = [QQ.zero()] * order
     for m in range(0, (order + 1) // 2):
-        coeffs[2 * m] = Fraction((-1) ** m, math.factorial(m) * math.factorial(m + nu))
+        coeffs[2 * m] = rational((-1) ** m, math.factorial(m) * math.factorial(m + nu))
     return from_coeffs(QQ, coeffs)
 
 

@@ -19,8 +19,6 @@ coefficient, and the ring sums them with one reduction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._value import Value
 from .exact import PolynomialRing, _format_coefficient, power_by_squaring
 
@@ -64,10 +62,12 @@ class PowerSeries(Value):
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -self._binary(other)
+        g = self._binary(other)
+        return PowerSeries(self.ring, [a - b for a, b in zip(self.coeffs, g.coeffs)])
 
     def __rsub__(self, other):
-        return (-self) + other
+        g = self._binary(other)
+        return PowerSeries(self.ring, [b - a for a, b in zip(self.coeffs, g.coeffs)])
 
     def __mul__(self, other):
         g = self._binary(other)
@@ -177,8 +177,9 @@ class PowerSeries(Value):
         phi (a = n) has fewer nonzero coefficients, ties going to g: a
         polynomial f such as x - x^2 has a sparse g, a rational f such as
         x/(1-x-x^2) a sparse phi.  With s nonzero h_j the cost is O(N^2 s)
-        ring products.  The division by k needs Q inside the ring, which
-        holds for every ring here.
+        ring products.  The divisions by k and by n are the integer divisor
+        of a ``ring.dot``, so integral data makes no ``Fraction``; they need
+        Q inside the ring, which holds for every ring here.
         """
         ring = self.ring
         N = len(self.coeffs)
@@ -198,13 +199,12 @@ class PowerSeries(Value):
         else:
             h_tail, sign, h0_inv = g_tail, -1, c1_inv
         h_tail = [(j, ring.coerce(c * h0_inv)) for j, c in h_tail]
-        inv_n = [None] + [ring.coerce(Fraction(1, n)) for n in range(1, N)]
         u = [ring.zero()]
-        p0 = ring.one()
+        p0 = one = ring.one()
         for n in range(1, N):
             p0 = p0 * c1_inv  # h_0^a = c_1^(-n) for either choice of h
             P = _miller_power(ring, h_tail, sign * n, 1, p0, n)
-            u.append(P[n - 1] * inv_n[n])
+            u.append(ring.dot(((1, P[n - 1], one),), n))
         return PowerSeries(ring, u)
 
     def __str__(self):

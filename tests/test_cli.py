@@ -460,10 +460,15 @@ class TestImports:
              "dataclasses"}
     # the argument parsers of the standard library, and what they load
     ARGUMENT_PARSING = {"argparse", "getopt", "optparse", "gettext", "locale"}
+    # what a value that is not integral loads
+    FRACTIONS = {"fractions", "decimal", "numbers"}
 
     @classmethod
-    def loaded_after(cls, statement):
+    def probe(cls, statement):
+        """The probed modules loaded after ``statement`` runs in a fresh
+        interpreter, and what it printed."""
         # repr, not json: the probe must not load a module it reports on
+        probed = cls.ARGUMENT_PARSING | cls.FRACTIONS | {"dataclasses", "json"}
         script = (
             "import sys\n"
             "try:\n"
@@ -471,12 +476,17 @@ class TestImports:
             "except SystemExit:\n"  # --help, or a usage error
             "    pass\n"
             "print(repr([m for m in sys.modules if m.startswith('riordan')"
-            f" or m in {sorted(cls.ARGUMENT_PARSING | {'dataclasses', 'json'})!r}]))\n"
+            f" or m in {sorted(probed)!r}]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                               text=True, check=True)
         assert proc.stderr == ""
-        return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+        *printed, loaded = proc.stdout.splitlines(keepends=True)
+        return set(ast.literal_eval(loaded)), "".join(printed)
+
+    @classmethod
+    def loaded_after(cls, statement):
+        return cls.probe(statement)[0]
 
     def cli_loads(self, *argv):
         return self.loaded_after(f"import riordan.cli; riordan.cli.main({list(argv)!r})")
@@ -531,6 +541,30 @@ class TestImports:
         loaded = self.cli_loads("triangle", "--gf", "1/(1-y*x-x^2)", "--rows", "3")
         assert "riordan.triangles" in loaded and "riordan.families" not in loaded
         assert not loaded & self.ARGUMENT_PARSING
+
+    def test_exact_loads_no_fractions(self):
+        assert not self.loaded_after("import riordan.exact") & self.FRACTIONS
+
+    @pytest.mark.parametrize("argv", [
+        ("triangle", "fib", "--rows", "3"),
+        ("triangle", "cf@1", "--rows", "6", "--invert"),
+        ("triangle", "--gf", "1/(1-y*x-x^2)", "--rows", "4", "--invert"),
+        ("sequence", "gf:rev(x-a*x^2-b*x^3)", "-n", "5"),
+        ("sequence", "rowsums:cf@2", "-n", "5"),
+        ("sequence", "hankel:gf:1/(1-x-x^2)", "-n", "5"),
+    ])
+    def test_integral_values_load_no_fractions(self, argv):
+        assert not self.cli_loads(*argv) & self.FRACTIONS
+
+    @pytest.mark.parametrize("argv, out", [
+        # read as p/q; every value computed from it is integral
+        (("sequence", "dual-cf@1/2", "-n", "3"), "1 -1 -1\n"),
+        (("triangle", "fib", "--rows", "3", "--eval-at", "1/2"), "1 1/2 5/4\n"),
+    ])
+    def test_a_rational_that_is_not_integral_loads_fractions(self, argv, out):
+        loaded, printed = self.probe(f"import riordan.cli; riordan.cli.main({list(argv)!r})")
+        assert self.FRACTIONS <= loaded
+        assert printed == out
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Arithmetic kernel: numbers, rings, polynomials."""
 
+import operator
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riordan._value import Value
 from riordan.exact import (
     QA,
     QAB,
@@ -18,6 +20,7 @@ from riordan.exact import (
     fibonacci,
     format_element,
     jacobsthal,
+    read_rational,
 )
 from riordan.triangles import Triangle, invert_triangle
 from riordan.verify import _compare
@@ -101,7 +104,30 @@ class TestRationalInvariants:
         assert Fraction(0, 7).denominator == 1
 
 
+def rings_of_polynomials_built(operation) -> list:
+    """The ring of each ``Polynomial`` that ``operation()`` constructs, in order."""
+    rings = []
+
+    def counting_init(self, ring, c, den):
+        rings.append(ring)
+        Value.__init__(self, ring, c, den)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Polynomial, "__init__", counting_init)
+        operation()
+    return rings
+
+
 class TestPolynomial:
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_sum_and_difference_build_only_the_result(self, op):
+        p, q = QY.poly([1, Fraction(1, 2), 3]), QY.poly([2, 5, Fraction(-1, 3)])
+        assert rings_of_polynomials_built(lambda: op(p, q)) == [QY]
+        # over Q[a][b], one Q[a] polynomial per coefficient of the result, then the result
+        a = QA.generator()
+        p, q = QAB.poly([a, 1 + a, 2]), QAB.poly([a * a, Fraction(1, 2), a - 3])
+        assert rings_of_polynomials_built(lambda: op(p, q)) == [QA] * 3 + [QAB]
+
     def test_normalization_strips_trailing_zeros(self):
         p = QY.poly([1, 2, 0, 0])
         assert p.degree == 1
@@ -209,6 +235,64 @@ class TestFormatting:
         check = _compare("x", "", [big], [1])
         assert not check.ok and check.detail == f"first mismatch at index 0: 1{'0' * 5000} != 1"
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+# Texts in the grammar ``read_rational`` shares with ``Fraction``, built by
+# construction: whitespace (with the ASCII separators that ``Fraction`` takes
+# and ``int`` refuses), a sign, then an integer with leading zeros, a decimal
+# (integral ones such as 3.0 and 5. too) or p/q.
+_spaces = st.text(alphabet=" \t\n\r\f\v\x1c\x1d\x1e\x1f", max_size=2)
+_signs = st.sampled_from(["", "+", "-"])
+_naturals = st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(0, 2),
+                      st.integers(0, 10**30))
+_fraction_digits = st.text(alphabet="0123456789", min_size=1, max_size=4)
+_rational_bodies = st.one_of(
+    _naturals,
+    st.builds(lambda i, k: f"{i}.{'0' * k}", _naturals, st.integers(0, 3)),
+    st.builds(lambda i, f: f"{i}.{f}", _naturals, _fraction_digits),
+    st.builds(lambda f: f".{f}", _fraction_digits),
+    st.builds(lambda p, zeros, q: f"{p}/{'0' * zeros}{q}", _naturals, st.integers(0, 1),
+              st.integers(1, 10**12)),
+)
+rational_texts = st.builds(lambda *parts: "".join(parts), _spaces, _signs, _rational_bodies,
+                           _spaces)
+# past the 4300-digit default of Python's int <-> str limit
+_long_bodies = st.builds(lambda d, n, tail: f"{d}{'9' * n}{tail}", st.integers(1, 9),
+                         st.integers(4301, 4400), st.sampled_from(["", ".0", ".25", "/7", "/1"]))
+long_rational_texts = st.builds(lambda *parts: "".join(parts), _spaces, _signs, _long_bodies,
+                                _spaces)
+
+
+class TestReadRational:
+    @given(rational_texts)
+    def test_reads_what_fraction_reads(self, text):
+        got, want = read_rational(text), QQ.coerce(Fraction(text))
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this interpreter has no int <-> str digit limit")
+    @settings(max_examples=20)
+    @given(long_rational_texts)
+    def test_long_text_under_the_smallest_digit_limit(self, text):
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            want = QQ.coerce(Fraction(text))
+            sys.set_int_max_str_digits(640)
+            got = read_rational(text)
+            assert sys.get_int_max_str_digits() == 640  # restored
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("text", ["", " ", "+", "-", "1/", "/2", "--1", "+-1", "- 1", "1 2",
+                                      ".", "1.2.3", "1/2/3", "1/-2", "0x10"])
+    def test_malformed_text_gets_the_error_of_fraction(self, text):
+        with pytest.raises(ValueError) as want:
+            Fraction(text)
+        with pytest.raises(ValueError) as got:
+            read_rational(text)
+        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

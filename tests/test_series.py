@@ -26,6 +26,7 @@ from strategies import (
     zeros,
 )
 from test_canonical import is_canonical_q
+from test_exact import rings_of_polynomials_built
 
 
 # --- independent oracles -----------------------------------------------------
@@ -158,6 +159,15 @@ class TestArithmetic:
         f = x_series(QQ, 4)
         with pytest.raises(AttributeError):
             f.coeffs = ()
+
+    @pytest.mark.parametrize("ring, var", [(QY, "y"), (QAB, "b")])
+    def test_subtraction_builds_one_polynomial_per_coefficient(self, ring, var):
+        x, t = x_series(ring, 6), generator_series(ring, var, 6)
+        f, g = 1 / (1 - t * x - x * x), 1 + t * x
+        assert rings_of_polynomials_built(lambda: f - g).count(ring) == 6
+        # a scalar operand is the constant series, built as for any operator
+        scalar = rings_of_polynomials_built(lambda: constant(ring, 1, 6)).count(ring)
+        assert rings_of_polynomials_built(lambda: 1 - f).count(ring) == scalar + 6
 
 
 RINGS = {"Q": (QQ, q_elements), "Q[y]": (QY, qy_elements), "Q[a][b]": (QAB, qab_elements)}

@@ -58,9 +58,7 @@ SERIES_VALUES = {
 EXTRACTION = SERIES_VALUES | {
     "exact.RationalField.dot",
     "exact.RationalField.invert",
-    "series.PowerSeries.__add__",
     "series.PowerSeries.__mul__",
-    "series.PowerSeries.__neg__",
     "series.PowerSeries.__rtruediv__",
     "series.PowerSeries.__sub__",
     "series.PowerSeries.__truediv__",
@@ -73,11 +71,10 @@ ROUTE_CUT = {"families._dual_route.<locals>.indices"}  # cuts a route to indices
 
 # Row name -> what its two routes share beyond BASE.
 SHARED = {
-    # each route builds its input with * and -x: x/(1-yx-x^2) over Q[y], and
-    # the columns of the array [J_1(2x)/x, -x] over Q
+    # each route builds its input with *: x/(1-yx-x^2) over Q[y], and the
+    # columns of the array [J_1(2x)/x, -x] over Q
     "route agreement: series reversion vs exponential array": ROUTE_CUT | SERIES_VALUES | {
         "series.PowerSeries.__mul__",
-        "series.PowerSeries.__neg__",
         "series.x_series",
     },
     "route agreement: series reversion vs odd-power rows": ROUTE_CUT,
