@@ -215,7 +215,7 @@ class PolynomialRing(Value):
     identity.
     """
 
-    __slots__ = ("base", "var", "over_q", "_one")
+    __slots__ = ("base", "var", "over_q", "_one", "_zero")
     __eq__, __hash__ = object.__eq__, object.__hash__
     _interned: dict = {}
 
@@ -226,10 +226,11 @@ class PolynomialRing(Value):
                 raise ValueError(f"polynomial variable must be one of {POLY_VARS}")
             ring = object.__new__(cls)
             # Over Q, polynomials store integer numerators over one
-            # denominator.  The unit is built once: every sum is a ``dot``
-            # of each operand with it.
+            # denominator.  The unit and the zero are built once: every sum
+            # is a ``dot`` of each operand with the unit, and every zero
+            # that ``dot`` or ``coerce`` returns is the zero.
             Value.__init__(ring, base, var, isinstance(base, RationalField),
-                           Polynomial(ring, (base.one(),), 1))
+                           Polynomial(ring, (base.one(),), 1), Polynomial(ring, (), 1))
             ring = cls._interned.setdefault((base, var), ring)
         return ring
 
@@ -253,7 +254,7 @@ class PolynomialRing(Value):
         return Polynomial(self, (self.base.zero(), self.base.one()), 1)
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, (), 1)
+        return self._zero
 
     def one(self) -> "Polynomial":
         return self._one
@@ -263,7 +264,7 @@ class PolynomialRing(Value):
             if x.ring is self:
                 return x
         elif self.over_q and (isinstance(x, int) or _is_fraction(x)):
-            return Polynomial(self, (x.numerator,) if x else (), x.denominator)
+            return Polynomial(self, (x.numerator,), x.denominator) if x else self._zero
         return self.poly([x])  # an element of the base chain
 
     def invert(self, x) -> "Polynomial":
@@ -304,7 +305,8 @@ class PolynomialRing(Value):
                 for i, c in enumerate(a):
                     for j, e in enumerate(b, i):
                         sums[j].append((w, c, e))
-            return Polynomial(self, *_reduced([self.base.dot(t, den) for t in sums], 1))
+            c, d = _reduced([self.base.dot(t, den) for t in sums], 1)
+            return Polynomial(self, c, d) if c else self._zero
         out, lcd = [], 1
         for w, x, y in terms:
             a, b = x._c, y._c
@@ -325,7 +327,8 @@ class PolynomialRing(Value):
                     c *= w
                     for i, e in enumerate(a, j):
                         out[i] += e * c
-        return Polynomial(self, *_reduced(out, lcd * den))
+        c, d = _reduced(out, lcd * den)
+        return Polynomial(self, c, d) if c else self._zero
 
     def __repr__(self):
         return f"{self.base!r}[{self.var}]"

@@ -4,17 +4,25 @@ A series carries exactly ``order`` coefficients c_0 .. c_{order-1}; binary
 operations truncate to the smaller order, so precision can shrink but never
 silently degrade.  A scalar operand of ``+ - * /`` is the constant series of
 the other operand's order, so each operation has one path.  Everything is
-exact: composition is Horner's rule in the series ring.  Reversion (Lagrange
-inversion, see ``PowerSeries.revert``) and the square root both form a power
-h^(p/q) by J.C.P. Miller's recurrence (``_miller_power``), summed over the
-nonzero coefficients of h only, with integer weights: the exponent is passed
-as p/q and q goes into the integer divisor of each step.  A square root
-needs the constant term to have an exact root.
+exact: composition is Horner's rule in the series ring.  The square root
+forms a power h^(p/q) by J.C.P. Miller's recurrence (``_miller_power``),
+summed over the nonzero coefficients of h only, with integer weights: the
+exponent is passed as p/q and q goes into the integer divisor of each step.
+A square root needs the constant term to have an exact root.
 
-Every output coefficient of ``*``, ``/`` and ``_miller_power`` is one call
-of the ring's fused multiply-accumulate ``ring.dot`` (see ``exact``): the
-loops here only gather the (weight, factor, factor) terms of each
-coefficient, and the ring sums them with one reduction.
+Reversion (``PowerSeries.revert``) takes one of two routes, chosen by the
+zero pattern of its input alone.  When g = f/x or 1/g has a zero
+coefficient, Lagrange inversion forms the powers of the sparser one by
+Miller's recurrence, which skips those zeros.  When neither has one there
+is nothing to skip, and u = x phi(u) is solved order by order from the
+powers of the result u instead: those multiply output coefficients, which
+stay small where the input's are dense (the ``cf@b`` inversions).
+
+Every output coefficient of ``*``, ``/``, ``_miller_power`` and of both
+reversion routes is one call of the ring's fused multiply-accumulate
+``ring.dot`` (see ``exact``): the loops here only gather the (weight,
+factor, factor) terms of each coefficient, and the ring sums them with one
+reduction.
 """
 
 from __future__ import annotations
@@ -166,20 +174,35 @@ class PowerSeries(Value):
     def revert(self) -> "PowerSeries":
         """Compositional inverse u with f(u(x)) = x = u(f(x)).
 
-        Needs f = c_1 x + O(x^2) with c_1 a unit.  By Lagrange inversion,
-        with g = f/x and phi = 1/g,
+        Needs f = c_1 x + O(x^2) with c_1 a unit.  With g = f/x and
+        phi = 1/g, u solves u = x phi(u), and the zero pattern of g and phi
+        selects one of two routes:
 
-            u_0 = 0,   u_n = (1/n) [x^(n-1)] phi^n   (n >= 1).
+        - Neither has a zero coefficient: powers of u.  With
+          pw[j][m] = [x^m] u^j, u_1 = phi_0 and
 
-        Only the coefficients P_0 .. P_{n-1} of phi^n = h^a are formed, by
-        J.C.P. Miller's power recurrence (``_miller_power``) summed over the
-        nonzero h_j only.  h is whichever of g (a = -n) and
-        phi (a = n) has fewer nonzero coefficients, ties going to g: a
-        polynomial f such as x - x^2 has a sparse g, a rational f such as
-        x/(1-x-x^2) a sparse phi.  With s nonzero h_j the cost is O(N^2 s)
-        ring products.  The divisions by k and by n are the integer divisor
-        of a ``ring.dot``, so integral data makes no ``Fraction``; they need
-        Q inside the ring, which holds for every ring here.
+              u_n = sum_{j=1..n-1} phi_j pw[j][n-1],
+              pw[j][m] = sum_{i=1..m-j+1} u_i pw[j-1][m-i],
+
+          each step adding one coefficient to every power (Knuth, TAOCP
+          vol. 2, section 4.7): O(N^3) ring products, no division.  The
+          factors are coefficients of u, which can be small where those of
+          f are dense: x times a ``cf@b`` row generating function reverts
+          to x (sqrt(1-4bx^2) - yx), whose coefficients have degree <= 1.
+        - Otherwise: Lagrange inversion,
+
+              u_0 = 0,   u_n = (1/n) [x^(n-1)] phi^n   (n >= 1).
+
+          Only the coefficients P_0 .. P_{n-1} of phi^n = h^a are formed,
+          by J.C.P. Miller's power recurrence (``_miller_power``) summed
+          over the nonzero h_j only.  h is whichever of g (a = -n) and
+          phi (a = n) has fewer nonzero coefficients, ties going to g: a
+          polynomial f such as x - x^2 has a sparse g, a rational f such
+          as x/(1-x-x^2) a sparse phi.  With s nonzero h_j the cost is
+          O(N^2 s) ring products, far below the first route's when s is
+          small.  The divisions by k and by n are the integer divisor of a
+          ``ring.dot``, so integral data makes no ``Fraction``; they need
+          Q inside the ring, which holds for every ring here.
         """
         ring = self.ring
         N = len(self.coeffs)
@@ -194,12 +217,25 @@ class PowerSeries(Value):
         phi = 1 / g
 
         g_tail, phi_tail = _nonzero(g.coeffs[1:], 1), _nonzero(phi.coeffs[1:], 1)
+        zero = ring.zero()
+        if len(g_tail) == len(phi_tail) == N - 2:
+            # nothing to skip: solve u = x phi(u) from pw[j][m] = [x^m] u^j
+            u = [zero, c1_inv]
+            pw = [None, u]
+            for n in range(2, N):
+                m = n - 1
+                for j in range(2, n):
+                    prev = pw[j - 1]
+                    pw[j].append(ring.dot([(1, u[i], prev[m - i]) for i in range(1, m - j + 2)]))
+                u.append(ring.dot([(1, phi.coeffs[j], pw[j][m]) for j in range(1, n)]))
+                pw.append([zero] * n)  # u^n = O(x^n), filled from the next step
+            return PowerSeries(ring, u)
         if len(phi_tail) < len(g_tail):
             h_tail, sign, h0_inv = phi_tail, 1, self.coeffs[1]
         else:
             h_tail, sign, h0_inv = g_tail, -1, c1_inv
         h_tail = [(j, ring.coerce(c * h0_inv)) for j, c in h_tail]
-        u = [ring.zero()]
+        u = [zero]
         p0 = one = ring.one()
         for n in range(1, N):
             p0 = p0 * c1_inv  # h_0^a = c_1^(-n) for either choice of h

@@ -462,7 +462,7 @@ class TestKernelInvariants:
             assert not s and s == 0 and s.degree == -1
             assert s._c == () and s._den == 1
             assert hash(s) == hash(0)
-            assert s == s.ring.zero()
+            assert s is s.ring.zero()  # the ring's one zero, built once
 
 
 # ---------------------------------------------------------------------------
@@ -492,5 +492,6 @@ class TestDot:
             want = o_add(want, {e: w * c for e, c in o_mul(terms(x), terms(y)).items()})
         got = ring.dot(terms_, den)
         assert got.ring is ring
+        assert got or got is ring.zero()
         assert_canonical(got)
         assert terms(got) == {e: Fraction(c) / den for e, c in want.items()}

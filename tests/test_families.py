@@ -35,6 +35,7 @@ from riordan.triangles import (
     build_ordinary,
     invert_triangle,
 )
+from test_series import revert_routes
 
 
 class TestCoefficients:
@@ -131,6 +132,15 @@ class TestTriangleTable:
         T = TRIANGLES[name](16)
         assert T.ring == QQ and T.n_rows == 16 and T.rows[0][0] == 1
         assert invert_triangle(invert_triangle(T)) == T
+
+    @pytest.mark.parametrize("name", ["dual-fib", "tilde", "i0-dual"])
+    def test_double_inversion_runs_both_reversion_routes(self, name):
+        # the reversion of the array has no zero to skip and that of its
+        # inversion has one, so the round trip takes both routes of revert
+        T = TRIANGLES[name](24)
+        back, routes = revert_routes(lambda: invert_triangle(invert_triangle(T)))
+        assert back == T
+        assert routes == ["powers of u", "Lagrange"]
 
     @pytest.mark.parametrize("name", list(TRIANGLES))
     def test_negative_rows_is_an_error(self, name):
@@ -269,8 +279,8 @@ class TestCfMatrices:
     @pytest.mark.parametrize("b", ["1", "2", "1/3", "-5/2", "0"])
     def test_inversion_is_the_closed_form_bgf(self, b):
         # the inverted array is read off sqrt(1-4bx^2) - yx: a square root, no reversion
-        closed = build_from_bgf(eval_gf(f"sqrt(1-4*({b})*x^2)-y*x", 24), 24)
-        assert invert_triangle(cf_matrix(Fraction(b), 24)) == closed
+        closed = build_from_bgf(eval_gf(f"sqrt(1-4*({b})*x^2)-y*x", 48), 48)
+        assert invert_triangle(cf_matrix(Fraction(b), 48)) == closed
 
     def test_zero_rows(self):
         # the zero-size contract of the named cf-coeff triangle it evaluates

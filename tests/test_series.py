@@ -10,9 +10,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riordan import series
 from riordan.exact import QAB, QQ, QY, binomial
 from riordan.families import cf_matrix
-from riordan.series import _miller_power, constant, from_coeffs, generator_series, x_series
+from riordan.series import (
+    PowerSeries,
+    _miller_power,
+    constant,
+    from_coeffs,
+    generator_series,
+    x_series,
+)
 from strategies import (
     nonzero_q_values,
     q_elements,
@@ -56,11 +64,50 @@ def oracle_revert(f):
     return u
 
 
+def oracle_lagrange(f):
+    """Lagrange inversion with bare coefficient lists: u_n = (1/n) [x^(n-1)] phi^n
+    for phi = x/f, by long division and repeated truncated products."""
+    g = [Fraction(c) for c in f[1:]]
+    phi = [1 / g[0]]
+    for k in range(1, len(g)):
+        phi.append(-sum(g[i] * phi[k - i] for i in range(1, k + 1)) / g[0])
+    u, power = [Fraction(0)], [Fraction(1)] + [Fraction(0)] * (len(g) - 1)
+    for n in range(1, len(f)):
+        power = [sum(power[i] * phi[k - i] for i in range(k + 1)) for k in range(len(g))]
+        u.append(power[n - 1] / n)
+    return u
+
+
 # Frozen from the oracles above.
 FIBONACCI_10 = oracle_linear_recurrence([1, 1], [1, 1], 10)
 assert FIBONACCI_10 == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
 CATALAN_REVERT_8 = oracle_revert([0, 1, -1, 0, 0, 0, 0, 0])
 assert CATALAN_REVERT_8 == [0, 1, 1, 2, 5, 14, 42, 132]
+assert oracle_lagrange([0, 1, -1, 0, 0, 0, 0, 0]) == CATALAN_REVERT_8
+
+
+def revert_routes(operation) -> tuple:
+    """The result of ``operation()`` and the route each ``revert`` inside it
+    took, in order: "Lagrange" when it formed powers by ``_miller_power``,
+    else "powers of u"."""
+    routes, miller_calls = [], []
+    revert = PowerSeries.revert
+
+    def counting_miller(*args):
+        miller_calls.append(1)
+        return _miller_power(*args)
+
+    def tracing_revert(f):
+        before = len(miller_calls)
+        u = revert(f)
+        routes.append("Lagrange" if len(miller_calls) > before else "powers of u")
+        return u
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_miller_power", counting_miller)
+        patch.setattr(PowerSeries, "revert", tracing_revert)
+        result = operation()
+    return result, routes
 
 
 def x_and_y(order):
@@ -92,6 +139,12 @@ def _sparse_inverse_g():
     return x / (2 - y * x - x * x), [0, 1, Fraction(-2, 3)], (12, 2)
 
 
+def _one_zero():
+    # 1/g = 1 + x + x^3/(1 - x) lacks only x^2
+    x = x_series(QQ, 12)
+    return x / (1 + x + x ** 3 / (1 - x)), [None], (10, 9)
+
+
 def _both_dense():
     # x times the row generating function of the cf@1 triangle
     G = from_coeffs(QY, cf_matrix(1, 13).row_polynomials())
@@ -104,12 +157,14 @@ def _dense_over_q():
 
 
 # Each case: f, the points it is specialised at, and the nonzero tail counts
-# of g = f/x and 1/g that select the base of the power recurrence.
+# of g = f/x and 1/g, which select the route of ``revert``: powers of u when
+# neither has a zero, else Lagrange over the sparser of the two.
 PINNED_REVERSIONS = {
-    "sparse g": _sparse_g,
-    "sparse 1/g": _sparse_inverse_g,
-    "both dense": _both_dense,
-    "both dense, slope 1/2": _dense_over_q,
+    "sparse g": (_sparse_g, "Lagrange"),
+    "sparse 1/g": (_sparse_inverse_g, "Lagrange"),
+    "one zero in 1/g": (_one_zero, "Lagrange"),
+    "both dense": (_both_dense, "powers of u"),
+    "both dense, slope 1/2": (_dense_over_q, "powers of u"),
 }
 
 
@@ -164,10 +219,13 @@ class TestArithmetic:
     def test_subtraction_builds_one_polynomial_per_coefficient(self, ring, var):
         x, t = x_series(ring, 6), generator_series(ring, var, 6)
         f, g = 1 / (1 - t * x - x * x), 1 + t * x
-        assert rings_of_polynomials_built(lambda: f - g).count(ring) == 6
+        # one per nonzero coefficient: a zero coefficient is the ring's one zero
+        nonzero = sum(map(bool, (f - g).coeffs))
+        assert nonzero == 4
+        assert rings_of_polynomials_built(lambda: f - g).count(ring) == nonzero
         # a scalar operand is the constant series, built as for any operator
         scalar = rings_of_polynomials_built(lambda: constant(ring, 1, 6)).count(ring)
-        assert rings_of_polynomials_built(lambda: 1 - f).count(ring) == scalar + 6
+        assert rings_of_polynomials_built(lambda: 1 - f).count(ring) == scalar + 5
 
 
 RINGS = {"Q": (QQ, q_elements), "Q[y]": (QY, qy_elements), "Q[a][b]": (QAB, qab_elements)}
@@ -333,12 +391,16 @@ class TestRevert:
 
     @pytest.mark.parametrize("case", sorted(PINNED_REVERSIONS))
     def test_revert_against_oracle(self, case):
-        f, points, tail_counts = PINNED_REVERSIONS[case]()
+        build, route = PINNED_REVERSIONS[case]
+        f, points, tail_counts = build()
         g = f.div_x()
         assert (nonzero_tail(g), nonzero_tail(1 / g)) == tail_counts
-        u = f.revert()
+        u, routes = revert_routes(lambda: f.revert())
+        assert routes == [route]
+        # each route against the oracle of the other algorithm
+        oracle = oracle_revert if route == "Lagrange" else oracle_lagrange
         for p in points:
-            want = oracle_revert([specialise(c, p) for c in f.coeffs])
+            want = oracle([specialise(c, p) for c in f.coeffs])
             assert [specialise(c, p) for c in u.coeffs] == want
 
     def test_revert_preconditions(self):
