@@ -17,12 +17,13 @@ bool or ``Fraction`` to its canonical form; code that keeps a computed
 rational passes it through ``coerce``.  Between two ints ``/`` is Python's
 true division, a float: use ``rational(a, b)`` or ``QQ.invert`` instead.
 
-The ``fractions`` module (and the ``decimal`` and ``numbers`` it imports)
-loads only when a value is not integral: in ``rational`` on a remainder, in
-``read_rational`` for text that is not an integer, and in the verify-only
-routes of ``families`` and ``verify``.  So a command whose values are all
-integral never loads it.  Until it loads, no ``Fraction`` can exist, so the
-type tests look for the class only where ``sys.modules`` already holds it.
+Only this module imports ``fractions`` (and with it ``decimal`` and
+``numbers``), and only when a value is not integral: in ``rational`` on a
+remainder and in ``read_rational`` for text that is not an integer.  Other
+modules build a non-integral value with ``rational`` and put rationals over
+one denominator with ``over_common_denominator``.  So a command whose values
+are all integral never loads it.  Until it loads, no ``Fraction`` can exist,
+so the type tests look for the class only where ``sys.modules`` holds it.
 
 ``ring.dot(terms, den=1)`` is the ring's one fused multiply-accumulate: the
 canonical (sum of w*x*y) / den over triples (w, x, y) of an ``int`` weight
@@ -141,6 +142,13 @@ def rational(num: int, den: int) -> ExactRational:
     return Fraction(num, den)
 
 
+def over_common_denominator(qs: list) -> tuple[list[int], int]:
+    """The integers L*q and their least common denominator L, for a list
+    of canonical rationals q."""
+    lcd = math.lcm(*[q.denominator for q in qs])
+    return [q.numerator * (lcd // q.denominator) for q in qs], lcd
+
+
 def _is_fraction(x) -> bool:
     """Whether x is a ``Fraction``.  No Fraction exists before ``fractions``
     is loaded, so until then this is False without loading it."""
@@ -246,9 +254,7 @@ class PolynomialRing(Value):
         coeffs = [self.base.coerce(c) for c in coeffs]
         if not self.over_q:
             return Polynomial(self, *_reduced(coeffs, 1))
-        den = math.lcm(*[c.denominator for c in coeffs])
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
-        return Polynomial(self, *_reduced(nums, den))
+        return Polynomial(self, *_reduced(*over_common_denominator(coeffs)))
 
     def generator(self) -> "Polynomial":
         return Polynomial(self, (self.base.zero(), self.base.one()), 1)

@@ -123,32 +123,21 @@ def _cf_root(order: int) -> PowerSeries:
     return fundamental_root(1, generator_series(QY, "y", n), x_series(QY, n))
 
 
-def _pochhammer(x: ExactRational, j: int) -> ExactRational:
-    """The rising factorial x (x + 1) ... (x + j - 1)."""
-    return math.prod([x + i for i in range(j)])
-
-
 def tilde_poly_hypergeom(n: int) -> Polynomial:
     """Terminating Gauss-sum evaluation y^n 2F1((1-n)/2, -n/2; 2; -4/y).
 
-    Multiplying by y^n before summing keeps every term polynomial.  Matches
+    Multiplying by y^n before summing keeps every term polynomial: the
+    coefficient of y^(n-j) is (-4)^j ((1-n)/2)_j (-n/2)_j / ((2)_j j!), which
+    is the integer (-1)^j prod_(i<j) (1-n+2i)(2i-n) over (j+1)! j!.  Matches
     the tilde matrix rows at even n and is (-1)^n times them at odd n; the
     matrix values are authoritative (see verify's discrepancy notes).
     """
-    from fractions import Fraction  # verify-only: no command builds it
-
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     coeffs = [0] * (n + 1)
     for j in range(n // 2 + 1):
-        # a Fraction leads the product, so its "/" is exact; (2)_j = (j + 1)!
-        term = (
-            Fraction(-4) ** j
-            * _pochhammer(Fraction(1 - n, 2), j)
-            * _pochhammer(Fraction(-n, 2), j)
-            / (math.factorial(j + 1) * math.factorial(j))
-        )
-        coeffs[n - j] += term
+        num = (-1) ** j * math.prod([(1 - n + 2 * i) * (2 * i - n) for i in range(j)])
+        coeffs[n - j] = rational(num, math.factorial(j + 1) * math.factorial(j))
     return QY.poly(coeffs)
 
 
@@ -221,12 +210,16 @@ def bessel(nu: int, order: int) -> PowerSeries:
 
 
 def pair_exp_j1(order: int) -> RiordanPair:
-    """Exponential pair [J_1(2x)/x, -x]: the dual Fibonacci coefficient array."""
+    """Exponential pair [J_1(2x)/x, -x]: the dual Fibonacci coefficient array.
+    Its row polynomials are an Appell sequence (Appell, Ann. ENS 9, 1880),
+    p_n' = -n p_(n-1), as those of every pair [g(x), -x] are."""
     return RiordanPair(bessel(1, order), -x_series(QQ, order))
 
 
 def pair_exp_j0(order: int) -> RiordanPair:
-    """Exponential pair [J_0(2x), -x]: the inversion of the central triangle."""
+    """Exponential pair [J_0(2x), -x]: the inversion of the central triangle.
+    Its row polynomials are an Appell sequence (Appell, Ann. ENS 9, 1880),
+    p_n' = -n p_(n-1)."""
     return RiordanPair(bessel(0, order), -x_series(QQ, order))
 
 

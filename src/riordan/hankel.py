@@ -31,9 +31,7 @@ common denominator of the terms; their minors are L^(k+1) h_k.
 
 from __future__ import annotations
 
-import math
-
-from .exact import QQ, rational
+from .exact import QQ, over_common_denominator, rational
 
 
 def _scale_to_integers(values) -> tuple[list[int], int]:
@@ -47,8 +45,7 @@ def _scale_to_integers(values) -> tuple[list[int], int]:
             raise TypeError(
                 f"Hankel determinants need rational terms; term {i} is {v!r}"
             ) from None
-    lcd = math.lcm(*(q.denominator for q in qs))
-    return [q.numerator * (lcd // q.denominator) for q in qs], lcd
+    return over_common_denominator(qs)
 
 
 def hankel_transform(seq, m_max: int) -> list:

@@ -14,12 +14,12 @@ rather than patched: the matrix values are ground truth throughout.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, partial
 
 from . import families, paths
 from ._value import Value
-from .exact import QQ, QY, QAB, binomial, catalan, fibonacci, jacobsthal, without_digit_limit
+from .exact import (QQ, QY, QAB, binomial, catalan, fibonacci, jacobsthal, rational,
+                    without_digit_limit)
 from .hankel import hankel_transform
 from .series import from_coeffs, generator_series, x_series
 from .triangles import build_exponential, build_ordinary, invert_triangle, row_sums
@@ -124,7 +124,7 @@ def _extracted(f) -> list:
     """1/(n+1) [x^n] (x/f)^(n+1) for n <= 12: the coefficients of
     ``_reverted`` by the coefficient-extraction form of Lagrange inversion."""
     x_over_f = 1 / f.div_x()
-    return [(x_over_f ** (n + 1)).coeffs[n] / Fraction(n + 1) for n in range(13)]
+    return [rational((x_over_f ** (n + 1)).coeffs[n], n + 1) for n in range(13)]
 
 
 def _central_row_sums(a: int, b: int) -> list:
@@ -228,10 +228,10 @@ CHECKS = (
      lambda: [str(p) for p in families.reciprocal_polys(7)],
      lambda: ["1", "1", "2*y+1", "4*y+1", "6*y^2+6*y+1", "16*y^2+8*y+1", "20*y^3+30*y^2+10*y+1"]),
     ("fundamental", "row sums at b=1 are C_n * F_(n+1)", "n <= 12, F by recurrence",
-     lambda: row_sums(families.cf_matrix(Fraction(1), 13)),
+     lambda: row_sums(families.cf_matrix(1, 13)),
      lambda: [catalan(n) * fibonacci(n + 1) for n in range(13)]),
     ("fundamental", "row sums at b=2 are C_n * J_(n+1)", "n <= 12, J by recurrence",
-     lambda: row_sums(families.cf_matrix(Fraction(2), 13)),
+     lambda: row_sums(families.cf_matrix(2, 13)),
      lambda: [catalan(n) * jacobsthal(n + 1) for n in range(13)]),
     _involution_row("Fibonacci coefficient triangle", families.pair_fib),
     _involution_row("(1, x+x^2) triangle", families.pair_x_plus_x2),

@@ -55,6 +55,18 @@ class TestCoefficients:
         rows = [[dual_fib_coeff(n, k) for k in range(n + 1)] for n in range(6)]
         assert rows == kv.DUAL_FIB_TRIANGLE
 
+    def test_inversion_of_fib_in_closed_form(self):
+        # the inversion of fib at (n, k) is (-1)^k/(n+1) C(n+1,k)
+        # (-1)^((n-k)/2) C(n+1-k,(n-k)/2) for even n-k, and 0 for odd n-k
+        inverted = invert_triangle(TRIANGLES["fib"](30))
+        for n in range(30):
+            for k in range(n + 1):
+                m, odd = divmod(n - k, 2)
+                num = 0 if odd else (-1) ** (k + m) * binomial(n + 1, k) * binomial(n + 1 - k, m)
+                entry, remainder = divmod(num, n + 1)
+                assert remainder == 0
+                assert entry == dual_fib_coeff(n, k) == inverted.rows[n][k]
+
     def test_tilde_coeff(self):
         assert tilde_coeff(3, 2) == 3
         assert tilde_coeff(4, 3) == -6
@@ -148,6 +160,37 @@ class TestTriangleTable:
         for rows in (-1, -2):
             with pytest.raises(ValueError, match=f"need rows >= 0, got {rows}"):
                 TRIANGLES[name](rows)
+
+
+def derivative(coeffs) -> list:
+    """d/dy of the polynomial with ascending coefficients ``coeffs``."""
+    return [k * c for k, c in enumerate(coeffs)][1:]
+
+
+# The first row n with p_n' != -n p_(n-1), None when rows 1 .. 40 all satisfy it
+FIRST_NON_APPELL_ROW = {
+    "fib": 1,
+    "dual-fib": None,
+    "tilde": 2,
+    "tildetilde": 1,
+    "a011973": 1,
+    "a111959": 1,
+    "i0-dual": None,
+    "cf-coeff": 1,
+}
+
+
+class TestAppellRows:
+    """The rows of an exponential array [g(x), -x] form an Appell sequence
+    (Appell, Ann. ENS 9, 1880): p_n' = -n p_(n-1).  Those are the two duals;
+    the other named arrays fail it at a small row."""
+
+    @pytest.mark.parametrize("name", list(TRIANGLES))
+    def test_first_row_that_is_not_appell(self, name):
+        rows = TRIANGLES[name](41).rows
+        first = next((n for n in range(1, 41)
+                      if derivative(rows[n]) != [-n * c for c in rows[n - 1]]), None)
+        assert first == FIRST_NON_APPELL_ROW[name]
 
 
 def cf_coeff_by_reversion(n_rows):

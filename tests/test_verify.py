@@ -30,7 +30,7 @@ ROWS = {row[1]: row for row in verify.CHECKS}
 
 # What any two routes may share: the value base, ring constants, coercion to
 # the canonical form, and the polynomial constructor ``PolynomialRing.poly``
-# behind it.
+# behind it, with the common-denominator rule it applies.
 BASE = {
     "_value.Value.__init__",
     "exact.RationalField.zero",
@@ -41,6 +41,7 @@ BASE = {
     "exact.PolynomialRing.coerce",
     "exact.rational",
     "exact.PolynomialRing.poly",
+    "exact.over_common_denominator",
     "exact._reduced",
 }
 
