@@ -57,8 +57,7 @@ def resolve_sequence(spec: str, n_terms: int) -> list:
         from . import families
 
         y0 = _parse_rational(spec[len("dual-cf@"):], "dual-cf@ value")
-        polys = families.dual_cf_sequence(n_terms + 1)
-        return [p(y0) for p in polys[1:]]
+        return families.dual_cf_values(y0, n_terms)
     if spec.startswith("rowsums:"):
         from .triangles import row_sums
 

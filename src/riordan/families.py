@@ -4,7 +4,8 @@ Fibonacci polynomials.
 
 A family's polynomials are the row polynomials of its ``TRIANGLES`` entry
 (row 0 is the constant 1), of ``cf_matrix(1, rows)`` for the Catalan-scaled
-family, or the coefficients of ``dual_cf_sequence`` and ``reciprocal_polys``.
+family, or the coefficients of ``reciprocal_polys``.  The dual Catalan-Fibonacci
+polynomials are Catalan monomials, which ``dual_cf_values`` evaluates.
 The four routes to the dual Fibonacci polynomials index from the zero
 polynomial instead: family(0) = 0, so family(n) is row n - 1.
 """
@@ -111,16 +112,9 @@ def _closed_form(entry):
 def fundamental_root(a, b, x):
     """sqrt(1 - 4bx^2) - ax, for the series x and scalars or series a, b.
 
-    Its reciprocal generates the row sums of ``pair_central(a, b)``, and at
-    a = 1, b = y it is behind ``dual_cf_sequence`` and ``reciprocal_polys``.
+    Its reciprocal generates the row sums of ``pair_central(a, b)`` and ``reciprocal_polys``.
     """
     return (1 - 4 * b * x * x).sqrt() - a * x
-
-
-def _cf_root(order: int) -> PowerSeries:
-    """sqrt(1 - 4yx^2) - x over Q[y], to at least 2 terms."""
-    n = max(order, 2)
-    return fundamental_root(1, generator_series(QY, "y", n), x_series(QY, n))
 
 
 def tilde_poly_hypergeom(n: int) -> Polynomial:
@@ -164,14 +158,21 @@ def cf_matrix(b0: ExactRational, n_rows: int) -> Triangle:
     return _closed_form(entry)(n_rows)
 
 
-def dual_cf_sequence(n_terms: int) -> list[Polynomial]:
-    """Coefficients of x(sqrt(1-4yx^2) - x) as polynomials in y, from x^0."""
-    return list(_cf_root(n_terms).mul_x().truncate(n_terms).coeffs)
+def dual_cf_values(y0: ExactRational, n_terms: int) -> list:
+    """p_1(y0) .. p_n(y0) of the dual Catalan-Fibonacci polynomials, the
+    coefficients of x(sqrt(1-4yx^2) - x) = x - x^2 - 2 sum_(m>=1) C_(m-1) y^m x^(2m+1):
+    p_1 = 1, p_2 = -1, p_(2m+1) = -2 C_(m-1) y^m, and every other even p is 0."""
+    values = [1, -1]
+    for m in range(1, (n_terms - 1) // 2 + 1):
+        values += [QQ.coerce(-2 * catalan(m - 1) * y0**m), 0]
+    return values[:n_terms]
 
 
 def reciprocal_polys(n_terms: int) -> list[Polynomial]:
     """Coefficients of 1/(sqrt(1-4yx^2) - x): 1, 1, 2y+1, 4y+1, ..."""
-    return list((1 / _cf_root(n_terms)).truncate(n_terms).coeffs)
+    order = max(n_terms, 2)  # x needs two coefficients
+    root = fundamental_root(1, generator_series(QY, "y", order), x_series(QY, order))
+    return list((1 / root).truncate(n_terms).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +213,19 @@ def bessel(nu: int, order: int) -> PowerSeries:
 def pair_exp_j1(order: int) -> RiordanPair:
     """Exponential pair [J_1(2x)/x, -x]: the dual Fibonacci coefficient array.
     Its row polynomials are an Appell sequence (Appell, Ann. ENS 9, 1880),
-    p_n' = -n p_(n-1), as those of every pair [g(x), -x] are."""
+    p_n' = -n p_(n-1), as those of every pair [g(x), -x] are.  They are
+    real-rooted (tests count n distinct real roots in rows 0..32): J_1(2x)/x
+    is entire of order 1 with real zeros (Watson, Bessel Functions, 15.25), so
+    in the Laguerre-Polya class, and the Jensen polynomials y^n p_n(-1/y) of
+    such a function are real-rooted (Polya and Schur, J. reine angew. Math. 144, 1914)."""
     return RiordanPair(bessel(1, order), -x_series(QQ, order))
 
 
 def pair_exp_j0(order: int) -> RiordanPair:
     """Exponential pair [J_0(2x), -x]: the inversion of the central triangle.
-    Its row polynomials are an Appell sequence (Appell, Ann. ENS 9, 1880),
-    p_n' = -n p_(n-1)."""
+    Its row polynomials are Appell and real-rooted for the reason ``pair_exp_j1``
+    gives, since J_0(2x) is in the Laguerre-Polya class too (Watson, 15.25).
+    Tests count n distinct real roots in rows 0..32."""
     return RiordanPair(bessel(0, order), -x_series(QQ, order))
 
 

@@ -57,15 +57,9 @@ def _reversion_route() -> tuple:
 
 
 @cache
-def _dual_cf_terms() -> list:
-    return families.dual_cf_sequence(20)
-
-
-@cache
 def _dual_cf_transform(y0: int) -> list:
     """h_0 .. h_9 of the dual Catalan-Fibonacci polynomials 1..19 at y = y0."""
-    s = _dual_cf_terms()
-    return hankel_transform([s[n + 1](y0) for n in range(19)], 9)
+    return hankel_transform(families.dual_cf_values(y0, 19), 9)
 
 
 @cache
@@ -86,7 +80,7 @@ def _x_root():
     return families.fundamental_root(1, 1, x_series(QQ, 13)).mul_x()
 
 
-_SHARED = (_reversion_route, _dual_cf_terms, _dual_cf_transform, _triangle, _x_minus_x2, _x_root)
+_SHARED = (_reversion_route, _dual_cf_transform, _triangle, _x_minus_x2, _x_root)
 
 
 def _matrix(entry, rows: int, cols=lambda n: n + 1) -> list:

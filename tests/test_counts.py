@@ -2,10 +2,11 @@
 fails here, and one that removes some updates the pinned count.
 
 Every command of the benchmark corpus (perfbench/corpus.json) is pinned by
-two counts: its ``ring.dot`` calls per ring and the polynomials it
-constructs.  Counts are taken in process by wrapping from the test side,
-with no hook in the package.  The ``functools`` caches are cleared first, so
-a count does not depend on which tests ran before.
+three counts: its ``ring.dot`` calls per ring, the polynomials it constructs
+and the power series it constructs.  Counts are taken in process by
+wrapping from the test side, with no hook in the package.  The
+``functools`` caches are cleared first, so a count does not depend on which
+tests ran before.
 """
 
 import functools
@@ -17,46 +18,47 @@ from pathlib import Path
 import pytest
 
 from riordan import cli, exact, paths, verify
-from riordan._value import Value
 from riordan.exact import Polynomial, PolynomialRing, RationalField
+from riordan.series import PowerSeries
 
 CORPUS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "corpus.json").read_text())
 
-# Corpus command -> (``ring.dot`` calls per ring, polynomials constructed)
+# Corpus command -> (``ring.dot`` calls per ring, polynomials constructed,
+# power series constructed)
 COUNTS = {
     # invert
-    ("triangle", "--gf", "1/(1-y*x-x^2)", "--rows", "32", "--invert"): ({"Q[y]": 883}, 684),
-    ("triangle", "cf@1", "--rows", "32", "--invert"): ({"Q[y]": 591}, 490),
-    ("sequence", "gf:rev(x/(1-y*x-x^2))", "-n", "24"): ({"Q[y]": 539}, 373),
-    ("sequence", "gf:rev(x/(1-x-x^2))", "-n", "48"): ({"Q": 1319}, 0),
-    ("sequence", "gf:rev(x-a*x^2-b*x^3)", "-n", "12"): ({"Q[a][b]": 211, "Q[a]": 254}, 379),
+    ("triangle", "--gf", "1/(1-y*x-x^2)", "--rows", "32", "--invert"): ({"Q[y]": 883}, 684, 19),
+    ("triangle", "cf@1", "--rows", "32", "--invert"): ({"Q[y]": 591}, 490, 7),
+    ("sequence", "gf:rev(x/(1-y*x-x^2))", "-n", "24"): ({"Q[y]": 539}, 373, 16),
+    ("sequence", "gf:rev(x/(1-x-x^2))", "-n", "48"): ({"Q": 1319}, 0, 14),
+    ("sequence", "gf:rev(x-a*x^2-b*x^3)", "-n", "12"): ({"Q[a][b]": 211, "Q[a]": 254}, 379, 20),
     # hankel
-    ("sequence", "hankel:dual-cf@1", "-n", "60"): ({"Q[y]": 840}, 134),
-    ("sequence", "hankel:dual-cf@1/2", "-n", "40"): ({"Q[y]": 560}, 94),
-    ("sequence", "hankel:rowsums:cf@2", "-n", "50"): ({}, 99),
-    ("sequence", "hankel:gf:1/(1-x-x^2)", "-n", "60"): ({"Q": 357}, 0),
-    ("sequence", "hankel:gf:1/sqrt(1-4*x)", "-n", "60"): ({"Q": 356}, 0),
+    ("sequence", "hankel:dual-cf@1", "-n", "60"): ({}, 0, 0),
+    ("sequence", "hankel:dual-cf@1/2", "-n", "40"): ({}, 0, 0),
+    ("sequence", "hankel:rowsums:cf@2", "-n", "50"): ({}, 99, 0),
+    ("sequence", "hankel:gf:1/(1-x-x^2)", "-n", "60"): ({"Q": 357}, 0, 10),
+    ("sequence", "hankel:gf:1/sqrt(1-4*x)", "-n", "60"): ({"Q": 356}, 0, 8),
     # readme
-    ("triangle", "fib", "--rows", "6", "--format", "csv"): ({}, 0),
-    ("triangle", "cf@1", "--rows", "6", "--invert"): ({"Q[y]": 32}, 35),
-    ("triangle", "--gf", "1/(1-y*x-x^2)", "--rows", "8"): ({"Q[y]": 58}, 27),
-    ("sequence", "dual-cf@1", "-n", "10"): ({"Q[y]": 77}, 26),
-    ("sequence", "hankel:dual-cf@1", "-n", "6"): ({"Q[y]": 84}, 26),
-    ("sequence", "rowsums:cf@2", "-n", "8", "--format", "bfile", "--offset", "0"): ({}, 8),
-    ("sequence", "gf:rev(x-x^2)", "-n", "10"): ({"Q": 74}, 0),
-    ("verify", "all"): ({"Q": 3313, "Q[y]": 1635, "Q[a][b]": 311, "Q[a]": 538}, 2238),
+    ("triangle", "fib", "--rows", "6", "--format", "csv"): ({}, 0, 0),
+    ("triangle", "cf@1", "--rows", "6", "--invert"): ({"Q[y]": 32}, 35, 7),
+    ("triangle", "--gf", "1/(1-y*x-x^2)", "--rows", "8"): ({"Q[y]": 58}, 27, 12),
+    ("sequence", "dual-cf@1", "-n", "10"): ({}, 0, 0),
+    ("sequence", "hankel:dual-cf@1", "-n", "6"): ({}, 0, 0),
+    ("sequence", "rowsums:cf@2", "-n", "8", "--format", "bfile", "--offset", "0"): ({}, 8, 0),
+    ("sequence", "gf:rev(x-x^2)", "-n", "10"): ({"Q": 74}, 0, 10),
+    ("verify", "all"): ({"Q": 3313, "Q[y]": 1495, "Q[a][b]": 311, "Q[a]": 538}, 2204, 422),
 }
 
 
 @functools.cache
-def counts(argv: tuple) -> tuple[dict, int]:
-    """The ``ring.dot`` calls per ring and the polynomials constructed by
-    ``riordan argv``, which must succeed and print."""
+def counts(argv: tuple) -> tuple[dict, int, int]:
+    """The ``ring.dot`` calls per ring and the polynomials and power series
+    constructed by ``riordan argv``, which must succeed and print."""
     for module in (exact, paths, verify):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
-    dots, polynomials = {}, 0
+    dots, constructed = {}, {Polynomial: 0, PowerSeries: 0}
 
     def counting(dot):
         def wrapper(ring, *args):
@@ -64,19 +66,23 @@ def counts(argv: tuple) -> tuple[dict, int]:
             return dot(ring, *args)
         return wrapper
 
-    def constructing(self, *values):
-        nonlocal polynomials
-        polynomials += 1
-        Value.__init__(self, *values)
+    def constructing(cls):
+        init = cls.__init__
+
+        def wrapper(self, *values):
+            constructed[cls] += 1
+            init(self, *values)
+        return wrapper
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, redirect_stdout(out):
         for cls in (RationalField, PolynomialRing):
             patch.setattr(cls, "dot", counting(cls.dot))
-        patch.setattr(Polynomial, "__init__", constructing)
+        for cls in (Polynomial, PowerSeries):
+            patch.setattr(cls, "__init__", constructing(cls))
         assert cli.main(list(argv)) == 0
     assert out.getvalue()
-    return dots, polynomials
+    return dots, constructed[Polynomial], constructed[PowerSeries]
 
 
 def test_every_corpus_command_is_pinned():
@@ -93,3 +99,8 @@ def test_dot_calls(argv):
 @pytest.mark.parametrize("argv", COUNTS, ids=" ".join)
 def test_polynomial_constructions(argv):
     assert counts(argv)[1] == COUNTS[argv][1]
+
+
+@pytest.mark.parametrize("argv", COUNTS, ids=" ".join)
+def test_series_constructions(argv):
+    assert counts(argv)[2] == COUNTS[argv][2]

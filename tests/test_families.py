@@ -12,7 +12,7 @@ from riordan.families import (
     bessel,
     cf_coeffs,
     cf_matrix,
-    dual_cf_sequence,
+    dual_cf_values,
     dual_fib_coeff,
     dual_fib_polys_by_even_form,
     dual_fib_polys_by_exponential,
@@ -34,6 +34,7 @@ from riordan.triangles import (
     build_from_bgf,
     build_ordinary,
     invert_triangle,
+    row_sums,
 )
 from test_series import revert_routes
 
@@ -92,18 +93,20 @@ class TestCoefficients:
 
 class TestFamilyPolynomials:
     """A family's polynomials are rows: of a TRIANGLES entry, of cf_matrix at
-    b = 1, or of the two series families."""
+    b = 1, or of the series reciprocal_polys; the dual Catalan-Fibonacci
+    polynomials are checked by their values at points."""
 
     def test_start_at_zero_then_one(self):
         for name in ("fib", "dual-fib", "tilde", "tildetilde"):
             assert TRIANGLES[name](1).row_polynomials() == [1], name
         assert cf_matrix(1, 1).row_polynomials() == [1]
-        # the dual routes and the dual-cf coefficients start at family(0) = 0
+        # the dual routes start at family(0) = 0, the dual-cf values at p_1 = 1
         for route in (dual_fib_polys_by_reversion, dual_fib_polys_by_exponential,
                       dual_fib_polys_by_laurent, dual_fib_polys_by_even_form):
             for n_max, start in ((0, (0,)), (1, (0, 1)), (2, (0, 1, QY.poly([0, -1])))):
                 assert route(n_max) == start, (route.__name__, n_max)
-        assert dual_cf_sequence(2) == [0, 1]
+        for y0 in (0, 5, Fraction(-2, 3)):
+            assert [dual_cf_values(y0, n) for n in range(3)] == [[], [1], [1, -1]]
         assert reciprocal_polys(1) == [1]
 
     @pytest.mark.parametrize(
@@ -127,10 +130,10 @@ class TestFamilyPolynomials:
         assert TRIANGLES["tildetilde"](5).row_polynomials()[4] == 2 * y ** 2 - 6 * y + 1
 
     def test_dual_cf_values(self):
-        y = QY.generator()
-        polys = dual_cf_sequence(10)
-        assert polys[3] == -2 * y
-        assert polys[9] == -10 * y ** 4
+        for y0 in (1, -3, Fraction(2, 7)):
+            values = dual_cf_values(y0, 9)
+            assert values[2] == -2 * y0
+            assert values[8] == -10 * y0 ** 4
 
     def test_cf_scaling_identity(self):
         cf_rows = cf_matrix(1, 13).row_polynomials()
@@ -191,6 +194,48 @@ class TestAppellRows:
         first = next((n for n in range(1, 41)
                       if derivative(rows[n]) != [-n * c for c in rows[n - 1]]), None)
         assert first == FIRST_NON_APPELL_ROW[name]
+
+
+def sturm_real_roots(coeffs) -> int:
+    """The distinct real roots of the polynomial with ascending ``coeffs``, by
+    Sturm's theorem: the sign changes of its Sturm chain at -inf less those at
+    +inf.  The chain is p, p', then the negated remainders, in Fractions."""
+    def remainder(a, b):
+        while len(a) >= len(b):
+            q = a[0] / b[0]
+            a = [u - q * v for u, v in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+            while a and not a[0]:
+                del a[0]
+        return a
+
+    p = [Fraction(c) for c in reversed(coeffs)]  # descending
+    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    while chain[-1]:
+        chain.append([-c for c in remainder(chain[-2], chain[-1])])
+    chain.pop()
+
+    def changes(signs):
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return (changes([(c[0] > 0) != (len(c) % 2 == 0) for c in chain])
+            - changes([c[0] > 0 for c in chain]))
+
+
+class TestRealRoots:
+    """Rows 0..32 of the two Appell duals have n distinct real roots: the
+    Laguerre-Polya reason in the docstrings of pair_exp_j1 and pair_exp_j0,
+    pinned by a Sturm count."""
+
+    @pytest.mark.parametrize("name", ["dual-fib", "i0-dual"])
+    def test_row_n_has_n_distinct_real_roots(self, name):
+        rows = TRIANGLES[name](33).rows
+        assert [sturm_real_roots(row) for row in rows] == list(range(33))
+
+    def test_sturm_count(self):
+        # (y^2 + 1)(y - 2)^2 (y + 3) has two distinct real roots, and the
+        # fib row 1 + 3y^2 + y^4 none
+        assert sturm_real_roots([12, -8, 11, -7, -1, 1]) == 2
+        assert sturm_real_roots(TRIANGLES["fib"](5).rows[4]) == 0
 
 
 def cf_coeff_by_reversion(n_rows):
@@ -341,12 +386,29 @@ class TestCfMatrices:
             assert list(row) == [*p.coeffs, *[0] * (k - p.degree)]
 
 
-class TestSequences:
-    def test_dual_cf_sequence_frozen(self):
-        polys = dual_cf_sequence(10)
-        assert [list(p.coeffs) for p in polys] == [
-            [Fraction(c) for c in coeffs] for coeffs in kv.DUAL_CF_POLY_COEFFS
-        ]
+class TestDualCfValues:
+    """The closed form of the dual Catalan-Fibonacci values against the frozen
+    polynomials, the paper's definition by inversion, and the series."""
+
+    def test_frozen(self):
+        # the frozen coefficients start at x^0, whose polynomial is 0
+        for y0 in (1, -1, 0, Fraction(1, 2), Fraction(-5, 3)):
+            assert dual_cf_values(y0, 9) == [
+                sum(c * y0**i for i, c in enumerate(coeffs))
+                for coeffs in kv.DUAL_CF_POLY_COEFFS[1:]
+            ], y0
+
+    @pytest.mark.parametrize("b", [1, 2, -1, Fraction(1, 2), Fraction(-5, 3), 0, 3], ids=str)
+    def test_row_sums_of_the_inverted_cf_matrix(self, b):
+        # the paper's definition: invert the Catalan-Fibonacci array at b, and
+        # p_(n+1)(b) is the sum of row n
+        assert dual_cf_values(b, 24) == row_sums(invert_triangle(cf_matrix(b, 24)))
+
+    def test_coefficients_of_the_series(self):
+        # x(sqrt(1-4yx^2) - x) over Q[y] from the parser, at eight points
+        coeffs = eval_gf("sqrt(1-4*y*x^2)-x", 120).coeffs
+        for y0 in (0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 11), 100):
+            assert dual_cf_values(y0, 120) == [p(y0) for p in coeffs], y0
 
 
 class TestDualRoutes:

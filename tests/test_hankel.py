@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import known_values as kv
 from riordan import hankel
 from riordan.exact import QQ, binomial
-from riordan.families import cf_matrix, dual_cf_sequence, reciprocal_polys
+from riordan.families import cf_matrix, dual_cf_values, reciprocal_polys
 from riordan.hankel import hankel_transform
 from riordan.series import from_coeffs
 from riordan.triangles import row_sums
@@ -67,10 +67,6 @@ def determinant(rows):
     return Fraction(sign * m[-1][-1], lcd ** n)
 
 
-def dual_values(y0, n_terms):
-    return [p(Fraction(y0)) for p in dual_cf_sequence(n_terms + 1)[1:]]
-
-
 def fibonacci(n_terms):
     fib = [1, 1]
     while len(fib) < n_terms:
@@ -80,12 +76,12 @@ def fibonacci(n_terms):
 
 class TestHankelTransform:
     def test_printed_transform_at_1(self):
-        seq = dual_values(1, 19)
+        seq = dual_cf_values(1, 19)
         assert seq[:10] == kv.DUAL_CF_AT_1[:10]
         assert hankel_transform(seq, 9) == kv.HANKEL_AT_1
 
     def test_printed_transform_at_minus_1(self):
-        seq = dual_values(-1, 19)
+        seq = dual_cf_values(-1, 19)
         assert seq[:10] == kv.DUAL_CF_AT_MINUS_1[:10]
         assert hankel_transform(seq, 9) == kv.HANKEL_AT_MINUS_1
 
@@ -154,7 +150,7 @@ class TestOnePassTransform:
     # inputs of the benchmark's hankel workload, past the sizes the property draws
     SOURCES_AT_M_20 = {
         "rowsums:cf@2": lambda n: row_sums(cf_matrix(Fraction(2), n)),
-        "dual-cf@1/2": lambda n: dual_values(Fraction(1, 2), n),
+        "dual-cf@1/2": lambda n: dual_cf_values(Fraction(1, 2), n),
         "fibonacci": fibonacci,
     }
 
@@ -223,7 +219,7 @@ class TestOnePassTransform:
             a = (2 * j + 1) * 4**j * (-2) ** odd
             b = -(j + 1) * 4**j if odd else j * 4**j // 2
             want.append(y ** (k * (k + 1) // 2 - 1) * (a * y + b))
-        assert hankel_transform(dual_values(y, 79), 39) == want
+        assert hankel_transform(dual_cf_values(y, 79), 39) == want
 
     @given(hankel_sources(max_m=4))
     def test_result_type_depends_only_on_the_terms_used(self, source):
@@ -239,7 +235,7 @@ class TestOnePassTransform:
             assert all(type(v) is int for v in h)
 
     def test_result_type_of_dual_values_at_one_half(self):
-        h = hankel_transform(dual_values(Fraction(1, 2), 9), 4)
+        h = hankel_transform(dual_cf_values(Fraction(1, 2), 9), 4)
         assert h[:3] == [1, -2, 2]
         assert [type(v) for v in h] == [int, int, int, Fraction, Fraction]
         assert all(is_canonical_q(v) for v in h)

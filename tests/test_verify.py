@@ -98,12 +98,6 @@ SHARED = {
         "series._miller_power",
         "verify._x_root",
     },
-    # the duals are a series over Q[y] evaluated at y0, the generating function
-    # a quotient of two series over Q
-    "transform at y=1 matches its rational generating function":
-        SERIES_VALUES | {"exact.RationalField.invert"},
-    "transform at y=-1 matches its rational generating function":
-        SERIES_VALUES | {"exact.RationalField.invert"},
     "level steps count |dual Fibonacci coefficients|": {"verify._matrix"},
     "up steps count binom(n,2k)*C_k": {"verify._matrix", "verify._up_cols"},
     "up-plus-level steps count |inverted-pair coefficients|": {"verify._matrix"},
