@@ -26,12 +26,12 @@ are all integral never loads it.  Until it loads, no ``Fraction`` can exist,
 so the type tests look for the class only where ``sys.modules`` holds it.
 
 ``ring.dot(terms, den=1)`` is the ring's one fused multiply-accumulate: the
-canonical (sum of w*x*y) / den over triples (w, x, y) of an ``int`` weight
-w and two ring elements, for an ``int`` den > 0.  Series products, division
-and powers build each output coefficient with one ``dot``; the product of
-two polynomials is a one-term ``dot`` and their sum or difference a two-term
-one.  Polynomials and series share one square-and-multiply,
-``power_by_squaring``.
+canonical (sum of w*x*y) / den over triples (w, x, y) of an ``int`` weight w
+and two ring elements, for an ``int`` den > 0.  Series products, division
+and powers build each output coefficient with one ``dot``; a polynomial
+product is a one-term ``dot`` and a sum or difference a two-term one.
+Polynomials and series share one square-and-multiply, ``power_by_squaring``,
+and polynomials and triangle rows one evaluation, ``horner``.
 
 A polynomial over Q (Q[y], Q[a]) does not hold Fractions: it stores integer
 numerators over one positive common denominator, in lowest terms, so its
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cache
+from functools import cache, reduce
 
 from ._value import Value
 
@@ -352,10 +352,9 @@ class Polynomial(Value):
     ints.  Over any other base (Q[a] inside Q[a][b]) ``_c`` holds the base
     elements themselves, with no trailing zero, and ``_den`` is 1.
 
-    ``coeffs`` is the public view, a tuple of base elements: canonical
-    rationals over Q (an ``int`` when integral, else a ``Fraction``), which
-    is ``_c`` itself when ``_den`` is 1 and is built on each access
-    otherwise; every reader outside the arithmetic reads through it.
+    ``coeffs`` is the public view, the tuple of base elements (canonical
+    rationals over Q), built on each access when ``_den`` is not 1; every
+    reader outside the arithmetic, evaluation included, reads through it.
 
     ``Polynomial(ring, c, den)`` takes ``c`` and ``den`` already in this
     stored form; ``ring.poly(coeffs)`` is the constructor that brings any
@@ -436,24 +435,8 @@ class Polynomial(Value):
         return power_by_squaring(self, n, self.ring.one(), "polynomial")
 
     def __call__(self, value):
-        """Evaluate by Horner at a point of the coefficient ring."""
-        base = self.ring.base
-        v = base.coerce(value)
-        if not self.ring.over_q:
-            acc = base.zero()
-            for c in reversed(self._c):
-                acc = acc * v + c
-            return acc
-        if not self._c:
-            return base.zero()
-        # Horner on integers at v = p/q: after k steps, acc / (q^k * _den) is
-        # the Horner partial sum of the top k+1 coefficients
-        p, q = v.numerator, v.denominator
-        acc, q_power = self._c[-1], 1
-        for c in reversed(self._c[:-1]):
-            q_power *= q
-            acc = acc * p + c * q_power
-        return rational(acc, q_power * self._den)
+        """The value at a point of the coefficient ring, by ``horner``."""
+        return horner(self.ring.base, self.coeffs, value)
 
     def __str__(self):
         return format_element(self)
@@ -475,6 +458,23 @@ def power_by_squaring(x, n: int, one, what: str):
         if n:
             square = square * square
     return result
+
+
+def horner(ring, coeffs, value):
+    """sum_k coeffs[k] value^k for canonical elements of ``ring``: the one
+    evaluation, of a polynomial or of a triangle row.  Over Q it runs on the
+    integers over their least common denominator and ends in one ``rational``."""
+    v = ring.coerce(value)
+    if ring is not QQ:
+        return reduce(lambda acc, c: acc * v + c, reversed(coeffs), ring.zero())
+    nums, lcd = over_common_denominator(coeffs)
+    # at v = p/q, after k steps acc / (q^k lcd) is the sum of the top k+1 terms
+    p, q = v.numerator, v.denominator
+    acc, q_power = nums[-1] if nums else 0, 1
+    for c in reversed(nums[:-1]):
+        q_power *= q
+        acc = acc * p + c * q_power
+    return rational(acc, q_power * lcd)
 
 
 def _reduced(nums: list, den: int) -> tuple[tuple, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from ._value import Value
-from .exact import QQ, QY, PolynomialRing, Polynomial, format_element
+from .exact import QQ, QY, PolynomialRing, Polynomial, format_element, horner
 from .series import PowerSeries, from_coeffs
 
 
@@ -138,5 +138,5 @@ def row_sums(T: Triangle) -> list:
 
 
 def eval_rows(T: Triangle, y0) -> list:
-    """Row polynomials evaluated at y0: sum_k t_{n,k} y0^k per row."""
-    return [p(y0) for p in T.row_polynomials()]
+    """sum_k t_{n,k} y0^k for each row n, by ``horner`` on its entries."""
+    return [horner(T.ring, row, y0) for row in T.rows]

@@ -95,6 +95,7 @@ q_inputs = st.builds(_q_input, st.integers(0, 4), st.integers(-6, 6), st.integer
 q_units = st.builds(_q_input, st.integers(0, 4), nonzero_ints(6), st.integers(1, 4))
 q_positives = st.builds(_q_input, st.integers(0, 4), st.integers(1, 6), st.integers(1, 4))
 zeros = st.just(0)
+signs = st.sampled_from([1, -1])
 
 
 @functools.cache
@@ -105,6 +106,11 @@ def q_series(order, head=(), tail=None):
     if tail is None:
         tail = st.lists(q_inputs, min_size=order - len(head), max_size=order - len(head))
     return st.builds(lambda h, t: from_coeffs(QQ, [*h, *t], order), st.tuples(*head), tail)
+
+
+# d of a Bell array (d, x*d) over Q, with d(0) = +-1 so that the array has an
+# inversion: 12 coefficients, the tail from q_inputs.
+bell_d = q_series(12, (signs,))
 
 
 @functools.cache

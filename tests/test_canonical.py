@@ -65,6 +65,10 @@ class TestTriangleAndHankel:
         assert_canonical_q(e for row in T.rows for e in row)
         assert_canonical_q(row_sums(T))
         assert_canonical_q(eval_rows(T, v))
+        # and each value is the sum of its row's terms, in Fractions
+        for point, values in ((1, row_sums(T)), (v, eval_rows(T, v))):
+            assert values == [sum(Fraction(e) * Fraction(point) ** k for k, e in enumerate(row))
+                              for row in T.rows]
 
     @given(st.lists(q_inputs, min_size=9, max_size=9))
     def test_hankel_transform(self, seq):

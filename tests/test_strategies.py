@@ -147,6 +147,7 @@ def test_dot_rings_reach_every_ring():
 SERIES = {
     "q_series(6)": (s.q_series(6), 6, 0),
     "q_series(6, (zeros, q_units))": (s.q_series(6, (s.zeros, s.q_units)), 6, 2),
+    "bell_d": (s.bell_d, 12, 1),
 }
 
 
@@ -161,6 +162,11 @@ def test_series(name):
         denominator=lambda f: any(type(c) is Fraction for c in f.coeffs[fixed:]),
         largest_length=lambda f: f.coeffs[-1] != 0,
     )
+
+
+def test_bell_d_reaches_both_heads():
+    assert_reaches(s.bell_d, plus_one=lambda d: d.coeffs[0] == 1,
+                   minus_one=lambda d: d.coeffs[0] == -1)
 
 
 def test_hankel_sources():

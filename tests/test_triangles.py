@@ -9,6 +9,7 @@ import known_values as kv
 from riordan.exact import QA, QQ, QY, binomial
 from riordan.families import TRIANGLES, cf_matrix, pair_a111959, pair_exp_j0, pair_exp_j1, pair_fib
 from riordan.gfparse import eval_gf
+from riordan.hankel import hankel_transform
 from riordan.series import from_coeffs, generator_series, x_series
 from riordan.triangles import (
     RiordanPair,
@@ -20,7 +21,7 @@ from riordan.triangles import (
     invert_triangle,
     row_sums,
 )
-from strategies import q_values
+from strategies import bell_d, q_inputs, q_values
 
 
 def rows_of(T):
@@ -154,6 +155,29 @@ class TestInversion:
         T = Triangle(QY, [[QY.one()]])
         with pytest.raises(TypeError):
             invert_triangle(T)
+
+
+class TestBellInversion:
+    """The inversion of a Bell array (d, x*d) with d(0) = +-1 is Appell, and
+    both keep the Hankel transform of their row values free of the point:
+    the row values of a Bell array are an invert transform of d, those of an
+    Appell array at y0 + z a binomial transform of those at y0, and neither
+    transform moves a Hankel transform (Layman, JIS 4, 2001)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(bell_d)
+    def test_inversion_is_appell(self, d):
+        rows = invert_triangle(build_ordinary(RiordanPair(d, d.mul_x()), 12)).rows
+        for n, row in enumerate(rows):
+            assert list(row) == [binomial(n, k) * (-1) ** k * rows[n - k][0] for k in range(n + 1)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(bell_d, q_inputs, q_inputs)
+    def test_hankel_transform_of_row_values_is_free_of_the_point(self, d, y0, y1):
+        T = build_ordinary(RiordanPair(d, d.mul_x()), 12)
+        for array in (T, invert_triangle(T)):
+            assert hankel_transform(eval_rows(array, y0), 5) == hankel_transform(
+                eval_rows(array, y1), 5)
 
 
 class TestRowOps:
