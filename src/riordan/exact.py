@@ -354,7 +354,7 @@ class Polynomial(Value):
 
     ``coeffs`` is the public view, the tuple of base elements (canonical
     rationals over Q), built on each access when ``_den`` is not 1; every
-    reader outside the arithmetic, evaluation included, reads through it.
+    reader outside the arithmetic and evaluation reads through it.
 
     ``Polynomial(ring, c, den)`` takes ``c`` and ``den`` already in this
     stored form; ``ring.poly(coeffs)`` is the constructor that brings any
@@ -435,8 +435,10 @@ class Polynomial(Value):
         return power_by_squaring(self, n, self.ring.one(), "polynomial")
 
     def __call__(self, value):
-        """The value at a point of the coefficient ring, by ``horner``."""
-        return horner(self.ring.base, self.coeffs, value)
+        """The value at a point of the coefficient ring: ``horner`` on the
+        stored coefficients, divided by their common denominator once."""
+        v, den = horner(self.ring.base, self._c, value), self._den
+        return v if den == 1 else rational(v.numerator, v.denominator * den)
 
     def __str__(self):
         return format_element(self)
@@ -446,17 +448,20 @@ class Polynomial(Value):
 
 
 def power_by_squaring(x, n: int, one, what: str):
-    """x^n by repeated squaring, for an int n >= 0; ``one`` is x^0 and
-    ``what`` names the kind of x in the error for any other n."""
+    """x^n for an int n >= 0: ``one`` for n = 0, else the product of the
+    squares x^(2^i) at the one bits of n, in (bit_length - 1) + (popcount - 1)
+    products.  ``what`` names the kind of x in the error for any other n."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"{what} power needs integer n >= 0, got {n!r}")
-    result, square = one, x
-    while n:
+    if not n:
+        return one
+    while not n & 1:
+        x, n = x * x, n >> 1
+    result = x
+    while n := n >> 1:
+        x = x * x
         if n & 1:
-            result = result * square
-        n >>= 1
-        if n:
-            square = square * square
+            result = result * x
     return result
 
 

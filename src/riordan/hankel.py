@@ -13,14 +13,16 @@ degree:
 - a regular step, where the degree drops by one, is a three-term recurrence,
   the fraction-free form of Chebyshev's algorithm for J-fractions;
 - after a zero minor the degree drops by z + 1 > 1: the z coefficients in
-  between are 0, the next one follows from BPR's t-recurrence, and the next
-  polynomial is one pseudo-remainder.
+  between are 0, the next one is s_k = (-1)^(z(z+1)/2) t^(z+1) / s^z, and
+  the next polynomial is one pseudo-remainder.  Here t is the leading
+  coefficient and s the last nonzero s_l; the form is BPR's t-recurrence
+  t_d = (-1)^d t t_(d-1) / s from t_0 = t, taken over d = 1 .. z at once.
+  A regular step is its case z = 0, s_k = t.
 
 Every division is exact.  Each quotient in the chain is a subresultant
 coefficient or a coefficient of a subresultant polynomial, which is a
-determinant of integer entries.  The t-recurrence steps through t (t/s)^d for
-d = 1 .. z, and t (t/s)^z = +-s_k is such a coefficient, so the denominator of
-(t/s)^z divides t and every step is integral too.
+determinant of integer entries.  s_k = +-t (t/s)^z is itself a subresultant
+coefficient, so the one division t^(z+1) / s^z that gives it is exact too.
 
 The chain only reads top coefficients: slot l keeps its degrees >= 2m - l,
 because no lower coefficient reaches an s_l with l >= m.  So the transform
@@ -79,9 +81,8 @@ def hankel_transform(seq, m_max: int) -> list:
             break  # sResP_(j-1) = 0, and so is every later s_l
         b = b[z:]
         k = j - 1 - z  # the degree of sResP_(j-1)
-        t = sk = b[0]  # t_(j-1), the leading coefficient of b
-        for delta in range(1, z + 1):  # t_(j-1-delta); s_(j-1) .. s_(k+1) are 0
-            sk = (-1) ** delta * t * sk // s
+        t = b[0]  # t_(j-1), the leading coefficient of b
+        sk = (-1) ** (z * (z + 1) // 2) * t ** (z + 1) // s ** z  # s_(j-1) .. s_(k+1) are 0
         h += [0] * z + [sk]
         if k <= m:
             break

@@ -15,6 +15,8 @@ rather than patched: the matrix values are ground truth throughout.
 from __future__ import annotations
 
 from functools import cache, partial
+from itertools import accumulate
+from operator import mul
 
 from . import families, paths
 from ._value import Value
@@ -116,9 +118,11 @@ def _reverted(f) -> list:
 
 def _extracted(f) -> list:
     """1/(n+1) [x^n] (x/f)^(n+1) for n <= 12: the coefficients of
-    ``_reverted`` by the coefficient-extraction form of Lagrange inversion."""
+    ``_reverted`` by the coefficient-extraction form of Lagrange inversion,
+    from one running power of x/f, multiplied by x/f once per n."""
     x_over_f = 1 / f.div_x()
-    return [rational((x_over_f ** (n + 1)).coeffs[n], n + 1) for n in range(13)]
+    powers = accumulate([x_over_f] * 13, mul)
+    return [rational(power.coeffs[n], n + 1) for n, power in enumerate(powers)]
 
 
 def _central_row_sums(a: int, b: int) -> list:

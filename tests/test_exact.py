@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riordan import exact
 from riordan._value import Value
 from riordan.exact import (
     QA,
@@ -22,6 +23,7 @@ from riordan.exact import (
     jacobsthal,
     read_rational,
 )
+from riordan.series import constant, from_coeffs
 from riordan.triangles import Triangle, invert_triangle
 from riordan.verify import _compare
 from strategies import dot_rings, nonzero_ints, q_elements, qa_polys, qab_polys, qy_polys, rationals
@@ -192,6 +194,74 @@ class TestPolynomial:
         p = QY.poly([1, 2])
         with pytest.raises(AttributeError):
             p.coeffs = (Fraction(9),)
+
+
+def fraction_horner(coeffs, v):
+    """sum_k coeffs[k] v^k by Horner's rule, from zero with ``*`` and ``+``."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
+
+
+def count_calls(obj, name: str, operation) -> tuple:
+    """``operation()`` and the number of calls it makes of ``obj.name``."""
+    calls = 0
+    original = getattr(obj, name)
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(obj, name, counting)
+        result = operation()
+    return result, calls
+
+
+class TestDirectRoutes:
+    """Evaluation and powers do no work beyond their result."""
+
+    # 30 terms with coefficients (k+1)/(k+2): the stored form has one
+    # denominator, lcm(2..31), and every coefficient is a Fraction
+    C30 = [Fraction(k + 1, k + 2) for k in range(30)]
+    P30 = QY.poly(C30)
+
+    @pytest.mark.parametrize("v", [Fraction(1, 2), 3, Fraction(-5, 3)])
+    def test_call_reduces_at_most_twice(self, v):
+        got, calls = count_calls(exact, "rational", lambda: self.P30(v))
+        assert calls <= 2
+        assert got == fraction_horner(self.C30, Fraction(v))
+        assert is_canonical_q(got), repr(got)
+
+    def test_call_over_qab_at_a_qa_point(self):
+        a = QA.generator()
+        coeffs = [a / 3 - 1, QA.poly([Fraction(1, 2), 0, 2]), QA.zero(), 5 * a ** 2 + Fraction(1, 7)]
+        v = Fraction(2, 5) * a - 3
+        got = QAB.poly(coeffs)(v)
+        assert got.ring is QA
+        assert got == fraction_horner(coeffs, v)
+
+    POWER_BASES = {
+        "Q series": (from_coeffs(QQ, [1, Fraction(1, 2), -3, 0, 2], 8), constant(QQ, 1, 8)),
+        "Q[y] series": (from_coeffs(QY, [1, QY.generator(), Fraction(-2, 3)], 8),
+                        constant(QY, 1, 8)),
+        "Q[y] polynomial": (QY.poly([Fraction(1, 2), -1, 3]), QY.one()),
+    }
+
+    @pytest.mark.parametrize("n", range(10))
+    @pytest.mark.parametrize("name", POWER_BASES)
+    def test_power_takes_the_fewest_products(self, name, n):
+        f, one = self.POWER_BASES[name]
+        want = one
+        for _ in range(n):
+            want = want * f
+        got, products = count_calls(type(f), "__mul__", lambda: f ** n)
+        assert got == want
+        # a square per bit below the top one, then one product per one bit
+        # beyond the first
+        assert products == (n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0)
 
 
 class TestFormatting:

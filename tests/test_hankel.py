@@ -20,7 +20,7 @@ from riordan.families import cf_matrix, dual_cf_values, reciprocal_polys
 from riordan.hankel import hankel_transform
 from riordan.series import from_coeffs
 from riordan.triangles import row_sums
-from strategies import hankel_sources, q_values
+from strategies import hankel_sources, nonzero_ints, q_values
 from test_canonical import is_canonical_q
 
 
@@ -65,6 +65,20 @@ def determinant(rows):
             row[k + 1:] = [(x * pivot - a * t) // prev for x, t in zip(row[k + 1:], top)]
         prev = pivot
     return Fraction(sign * m[-1][-1], lcd ** n)
+
+
+@st.composite
+def one_zero_run(draw):
+    """(seq, m): 2m+1 terms, m <= 10, all nonzero but one run of 1-6 zeros at
+    a drawn position; integers, or rationals over one denominator."""
+    m = draw(st.integers(0, 10))
+    n = 2 * m + 1
+    run = draw(st.integers(1, min(6, n)))
+    at = draw(st.integers(0, n - run))
+    den = draw(st.integers(1, 6))
+    nums = draw(st.lists(nonzero_ints(9 * den), min_size=n - run, max_size=n - run))
+    terms = [Fraction(a, den) if den > 1 else a for a in nums]
+    return terms[:at] + [0] * run + terms[at:], m
 
 
 def fibonacci(n_terms):
@@ -177,6 +191,16 @@ class TestOnePassTransform:
         assert h == [determinant(hankel_rows(seq, k + 1)) for k in range(15)]
         # the leading minors are anti-triangular up to h_r
         assert h[:r + 1] == [0] * r + [(-1) ** (r * (r + 1) // 2) * (-2) ** (r + 1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(one_zero_run())
+    def test_one_zero_run_equals_minor_by_minor(self, source):
+        # a zero run part way along puts a degree drop of 2 or more in the
+        # middle of the chain, where the previous minor s is rarely +-1
+        seq, m = source
+        assert hankel_transform(seq, m) == [
+            determinant(hankel_rows(seq, k + 1)) for k in range(m + 1)
+        ]
 
     # late zero minors with nonzero minors after them; checked against
     # sympy's Berkowitz determinant
